@@ -4,8 +4,10 @@ The permutation test is exact under the null: the second coordinate is
 permuted with the first held fixed, every statistic is recomputed from
 the permuted pairwise tables, and the p-value is
 ``(1 + #{permuted >= observed}) / (B + 1)``.  The asymptotic route
-scales the statistic by n and refers it to the Monte Carlo weighted
-chi-square null limit built from the empirical marginals.
+scales the statistic by n and refers it to the weighted chi-square null
+limit built from the empirical marginals, whose tail
+:func:`~kappacov.spectral.null_tail` computes without simulation.  Its
+``b_or_r`` must still be at least 1000 but does not affect the p-value.
 
 All three statistics inflate under dependence, so every test is
 one-sided in the upper tail.
@@ -34,7 +36,13 @@ from .estimators import (
     kappa_trio,
 )
 from .samplers import _draw
-from .spectral import empirical_marginal, kernel_eigenvalues, null_limit_model, null_pvalue
+from .spectral import (
+    EigenSpectrum,
+    empirical_marginal,
+    kernel_eigenvalues,
+    null_tail,
+    null_tail_bound,
+)
 from .ustats import compute_ustats, pairwise_tables
 
 __all__ = [
@@ -53,6 +61,10 @@ __all__ = [
 ESTIMATOR_NAMES = ("star", "tilde", "hat")
 _METHODS = ("permutation", "asymptotic_null")
 _DEFAULT_SPECTRUM_K = 100
+# Floors on b_or_r: permutations B, and draws R for the asymptotic method,
+# which its exact tail does not use but callers still pass and get echoed.
+_MIN_B = 99
+_MIN_R = 1000
 
 
 def _check_estimator(name: str) -> str:
@@ -74,6 +86,15 @@ def _check_method(method: str) -> str:
     if method not in _METHODS:
         raise DomainError(f"method must be one of {', '.join(_METHODS)}, got {method!r}")
     return method
+
+
+def _check_b_or_r(method: str, b_or_r: int) -> int:
+    b_or_r = int(b_or_r)
+    if b_or_r < _MIN_B:
+        raise DomainError(f"b_or_r must be at least {_MIN_B}, got {b_or_r}")
+    if method == "asymptotic_null" and b_or_r < _MIN_R:
+        raise DomainError(f"the asymptotic method needs b_or_r of at least {_MIN_R}, got {b_or_r}")
+    return b_or_r
 
 
 @dataclass(frozen=True)
@@ -242,24 +263,18 @@ def _permutation_pvalues(
     return observed, (1.0 + exceed) / (b + 1.0)
 
 
-def _asymptotic_pvalues(
-    sample: PairedSample, r: int, seed: SeedSpec, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """n-scaled trio and p-values against the simulated null limits."""
-    trio = np.array(kappa_trio(compute_ustats(sample)))
-    scaled = sample.n * trio
+def _asymptotic_null(
+    sample: PairedSample, k: int
+) -> tuple[np.ndarray, EigenSpectrum, EigenSpectrum]:
+    """n-scaled trio and the top-``k`` kernel spectra of both marginals.
+
+    ``kappa_star`` and ``kappa_tilde`` refer to the centered null limit,
+    ``kappa_hat`` to the uncentered one.
+    """
+    scaled = sample.n * np.array(kappa_trio(compute_ustats(sample)))
     lx = kernel_eigenvalues(empirical_marginal(sample.xs), k)
     ly = kernel_eigenvalues(empirical_marginal(sample.ys), k)
-    centered = null_limit_model(lx, ly, k=k, r=r, seed=seed, centered=True)
-    uncentered = null_limit_model(lx, ly, k=k, r=r, seed=seed.with_stream(seed.stream_index + 1), centered=False)
-    pvals = np.array(
-        [
-            null_pvalue(centered, scaled[0]),
-            null_pvalue(centered, scaled[1]),
-            null_pvalue(uncentered, scaled[2]),
-        ]
-    )
-    return scaled, pvals
+    return scaled, lx, ly
 
 
 def independence_test(
@@ -272,27 +287,28 @@ def independence_test(
 ) -> TestResult:
     """Test independence of the two coordinates, upper tail.
 
-    ``b_or_r`` is the permutation count B (>= 99) or the Monte Carlo
-    draw count R of the null limit (>= 1000 via the null model).
+    ``b_or_r`` is the permutation count B (>= 99).  The asymptotic
+    method computes its p-value exactly, without draws; it still
+    requires ``b_or_r >= 1000`` and echoes it in the result.
     """
     estimator = _check_estimator(estimator)
     method = _check_method(method)
     if sample.n < 3:
         raise SampleTooSmall(f"independence test needs n >= 3, got {sample.n}")
-    b_or_r = int(b_or_r)
-    if b_or_r < 99:
-        raise DomainError(f"b_or_r must be at least 99, got {b_or_r}")
+    b_or_r = _check_b_or_r(method, b_or_r)
     index = ESTIMATOR_NAMES.index(estimator)
     if method == "permutation":
         tables = pairwise_tables(sample)
         observed, pvals = _permutation_pvalues(tables, b_or_r, seed.generator())
+        p_value = pvals[index]
     else:
-        observed, pvals = _asymptotic_pvalues(sample, b_or_r, seed, spectrum_k)
+        observed, lx, ly = _asymptotic_null(sample, spectrum_k)
+        p_value = null_tail(lx, ly, observed[index], centered=estimator != "hat")
     return TestResult(
         statistic_name=f"kappa_{estimator}",
         statistic=float(observed[index]),
         method=method,
-        p_value=float(pvals[index]),
+        p_value=float(p_value),
         n=sample.n,
         b_or_r=b_or_r,
         seed=seed,
@@ -300,7 +316,7 @@ def independence_test(
 
 
 def _power_replicate_task(args) -> np.ndarray:
-    (master_seed, stream, grid, n, method, b_or_r, alpha, k) = args
+    (master_seed, stream, grid, n, method, b_or_r, alpha, k, estimators) = args
     rng = SeedSpec(master_seed, stream).generator()
     rejected = np.zeros((len(grid), len(ESTIMATOR_NAMES)), dtype=np.int64)
     for ci, (family, theta, sigma1, sigma2) in enumerate(grid):
@@ -309,11 +325,18 @@ def _power_replicate_task(args) -> np.ndarray:
         sample = PairedSample(xs, ys)
         if method == "permutation":
             _, pvals = _permutation_pvalues(pairwise_tables(sample), b_or_r, rng)
+            rejected[ci] = pvals <= alpha
         else:
-            _, pvals = _asymptotic_pvalues(
-                sample, b_or_r, SeedSpec(master_seed, stream), k
-            )
-        rejected[ci] = pvals <= alpha
+            observed, lx, ly = _asymptotic_null(sample, k)
+            for name in estimators:
+                i = ESTIMATOR_NAMES.index(name)
+                centered = name != "hat"
+                # The tail is at most its Chernoff bound, which settles most
+                # strong-signal replicates without Imhof's integral.
+                rejected[ci, i] = (
+                    null_tail_bound(lx, ly, observed[i], centered) <= alpha
+                    or null_tail(lx, ly, observed[i], centered) <= alpha
+                )
     return rejected
 
 
@@ -335,6 +358,9 @@ def power_study(
     report is identical for any worker count.  All replicates share
     substreams across cells (common random numbers), and all three
     statistics are computed from the same permutations within a cell.
+    With the asymptotic method a replicate whose tail bound
+    (:func:`~kappacov.spectral.null_tail_bound`) is already at most
+    ``alpha`` is rejected without the exact tail, with the same outcome.
     """
     grid = tuple(grid)
     if not grid:
@@ -344,6 +370,7 @@ def power_study(
             raise DomainError("grid entries must be FamilySpec instances")
     estimators = _check_estimators(estimators)
     method = _check_method(method)
+    b_or_r = _check_b_or_r(method, b_or_r)
     replicates = int(replicates)
     if replicates < 100:
         raise DomainError(f"need at least 100 replicates, got {replicates}")
@@ -359,9 +386,10 @@ def power_study(
             grid_fields,
             int(n),
             method,
-            int(b_or_r),
+            b_or_r,
             float(alpha),
             int(spectrum_k),
+            estimators,
         )
         for r in range(replicates)
     )
@@ -397,7 +425,7 @@ def power_study(
         replicates=replicates,
         alpha=float(alpha),
         method=method,
-        b_or_r=int(b_or_r),
+        b_or_r=b_or_r,
         estimators=estimators,
         seed=seed,
         cells=tuple(cells),

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -129,6 +132,20 @@ def test_test_asymptotic_requires_enough_draws(capsys, sample_csv):
     payload = json.loads(out)
     assert payload["method"] == "asymptotic_null"
     assert 0.0 < payload["p_value"] <= 1.0
+
+
+def test_module_entry_point(capsys):
+    import kappacov
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kappacov.__file__)))
+    argv = ["kappa-theta", "--family", "normal", "--theta", "0.5"]
+    child = subprocess.run(
+        [sys.executable, "-m", "kappacov", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    _, expected, _ = invoke(capsys, argv)
+    assert child.returncode == 0
+    assert child.stderr == ""
+    assert child.stdout == expected
 
 
 def test_eigen_analytic_marginal(capsys):

@@ -109,6 +109,21 @@ def test_asymptotic_test_needs_enough_draws():
         independence_test(sample, method="asymptotic_null", b_or_r=999)
 
 
+def test_power_study_asymptotic_needs_enough_draws():
+    with pytest.raises(DomainError):
+        power_study([NULL_SPEC], n=40, replicates=100, method="asymptotic_null", b_or_r=999)
+
+
+def test_asymptotic_test_on_binary_marginal():
+    # A two-point marginal has a single kernel eigenvalue.
+    sample = sample_family(NULL_SPEC, 50, SeedSpec(18))
+    binary = PairedSample((sample.xs > 0.0).astype(float), sample.ys)
+    for estimator in ("star", "hat"):
+        result = independence_test(binary, estimator=estimator, method="asymptotic_null", b_or_r=1000)
+        assert 0.0 < result.p_value <= 1.0
+        assert result.b_or_r == 1000
+
+
 def test_asymptotic_estimator_variants_agree_on_strong_signal():
     dep = sample_family(FamilySpec("normal", 0.85), 150, SeedSpec(12))
     for name in ("star", "tilde", "hat"):
@@ -176,6 +191,27 @@ def test_power_study_asymptotic_method():
         b_or_r=1000, seed=SeedSpec(16), spectrum_k=30,
     )
     assert report.power_for("normal", 0.9, "star").power >= 0.9
+
+
+def test_asymptotic_power_matches_its_tests():
+    # Replicates settled by the Chernoff bound must reject exactly when
+    # the exact tail does: replicate r of a one-cell grid is the sample
+    # drawn from substream r.
+    spec, n, seed = FamilySpec("normal", 0.45), 40, SeedSpec(23, 5)
+    report = power_study(
+        [spec], n=n, replicates=100, method="asymptotic_null", b_or_r=1000,
+        seed=seed, estimators=("star", "hat"), spectrum_k=20,
+    )
+    for estimator in ("star", "hat"):
+        hits = sum(
+            independence_test(
+                sample_family(spec, n, SeedSpec(23, 5 + r)), estimator=estimator,
+                method="asymptotic_null", b_or_r=1000, spectrum_k=20,
+            ).p_value <= 0.05
+            for r in range(100)
+        )
+        assert 0 < hits < 100
+        assert report.power_for("normal", 0.45, estimator).power == hits / 100
 
 
 def test_power_study_validation():

@@ -1,5 +1,5 @@
-"""Kernel eigenvalues of discretized marginals and the simulated
-weighted chi-square null limit."""
+"""Kernel eigenvalues of discretized marginals, and the weighted
+chi-square null limit: its exact tail and its simulated draws."""
 
 import math
 
@@ -13,16 +13,23 @@ from kappacov import (
     DomainError,
     EigenSpectrum,
     EmptySpectrum,
+    FamilySpec,
     NonMonotoneQuantile,
     SampleTooSmall,
     SeedSpec,
     dense_kernel_eigenvalues,
     discretize_marginal,
     empirical_marginal,
+    kappa_hat,
+    kappa_star,
     kernel_eigenvalues,
+    marginal_quantile,
     null_limit_model,
     null_pvalue,
+    null_tail,
+    sample_family,
 )
+from kappacov.spectral import null_tail_bound
 
 
 def uniform_marginal(t: int) -> DiscreteMarginal:
@@ -136,9 +143,16 @@ def test_kernel_eigenvalues_arguments():
     assert kernel_eigenvalues(marginal, 10_000).k <= 49
     with pytest.raises(DomainError):
         kernel_eigenvalues(marginal, 0)
-    two_point = DiscreteMarginal(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
-    with pytest.raises(DegenerateGrid):
-        kernel_eigenvalues(two_point, 1)
+
+
+def test_two_point_spectrum_is_its_trace():
+    # One eigenvalue, p_1 p_2 (x_2 - x_1), which is the trace target.
+    two_point = DiscreteMarginal(np.array([-0.5, 1.0]), np.array([0.3, 0.7]))
+    for solve in (kernel_eigenvalues, dense_kernel_eigenvalues):
+        spectrum = solve(two_point, 5)
+        assert spectrum.k == 1
+        assert abs(spectrum.lambdas[0] - 0.3 * 0.7 * 1.5) <= 1e-12
+        assert abs(spectrum.lambdas[0] - two_point.trace_target) <= 1e-12
 
 
 def test_spectrum_container_validation():
@@ -231,3 +245,103 @@ def test_quantile_summary_shape():
     summary = model.quantile_summary(count=33)
     assert summary.shape == (33,)
     assert np.all(np.diff(summary) >= 0.0)
+
+
+# --- exact tail -------------------------------------------------------------------
+
+
+def _tail_spectra(k):
+    normal = FamilySpec("normal", 0.0)
+    lx = kernel_eigenvalues(discretize_marginal(lambda u: marginal_quantile(normal, "x", u), 200), k)
+    ly = kernel_eigenvalues(discretize_marginal(lambda u: -math.log1p(-u), 200), k)
+    return lx, ly
+
+
+@pytest.mark.parametrize("centered", [True, False])
+def test_null_tail_matches_simulated_law(centered):
+    lx, ly = _tail_spectra(10)
+    r = 1_000_000
+    model = null_limit_model(lx, ly, k=10, r=r, seed=SeedSpec(21), centered=centered)
+    # The exact uncentered law also carries the mass beyond the top 10
+    # eigenvalues, a constant the simulated draws leave out.
+    shift = 0.0 if centered else lx.trace_target * ly.trace_target - model.lambdas.total * model.etas.total
+    assert centered or shift > 0.0
+    for level in (0.5, 0.95, 0.999):
+        draw = float(np.quantile(model.draws, level))
+        simulated = null_pvalue(model, draw)
+        exact = null_tail(lx, ly, draw + shift, centered=centered)
+        stderr = math.sqrt(simulated * (1.0 - simulated) / r)
+        assert abs(exact - simulated) <= 4.0 * stderr + 1.0 / r, (level, exact, simulated)
+
+
+def test_null_tail_keeps_every_eigenvalue_of_each_marginal():
+    # A binary x has one eigenvalue; the law still sums over all of y's.
+    lx = kernel_eigenvalues(DiscreteMarginal(np.array([0.0, 1.0]), np.array([0.4, 0.6])), 10)
+    ly = _tail_spectra(10)[1]
+    r = 200_000
+    z = np.random.default_rng(3).standard_normal((r, ly.k))
+    draws = lx.lambdas[0] * ((z * z - 1.0) @ ly.lambdas)
+    for level in (0.5, 0.95, 0.999):
+        exact = null_tail(lx, ly, float(np.quantile(draws, level)), centered=True)
+        stderr = math.sqrt(level * (1.0 - level) / r)
+        assert abs(exact - (1.0 - level)) <= 4.0 * stderr + 1.0 / r, (level, exact)
+
+
+def test_uncentered_tail_has_the_trace_product_mean():
+    from scipy import integrate
+
+    marginal = uniform_marginal(200)
+    spectrum = kernel_eigenvalues(marginal, 5)
+    target = marginal.trace_target**2
+    # The uncentered law is positive, so its mean is the integral of its tail.
+    mean = integrate.quad(lambda q: null_tail(spectrum, spectrum, q, centered=False), 0.0, np.inf)[0]
+    assert math.isclose(mean, target, rel_tol=1e-9)
+    # The top 5 eigenvalues alone fall well short of the trace.
+    assert spectrum.total**2 < 0.99 * target
+
+
+@pytest.mark.filterwarnings("error")
+def test_null_tail_near_the_bottom_of_its_support():
+    # One product, and two or four equal ones, give chi-square laws in
+    # closed form.  For a small threshold Imhof's integrand spreads over
+    # many decades and decays slowly, as with binary columns.
+    laws = {
+        (1, 1): lambda q: math.erfc(math.sqrt(0.5 * q)),
+        (1, 2): lambda q: math.exp(-0.5 * q),
+        (2, 2): lambda q: (1.0 + 0.5 * q) * math.exp(-0.5 * q),
+    }
+    for (kx, ky), tail in laws.items():
+        lx = EigenSpectrum(np.full(kx, 0.5), 3, 0.5 * kx)
+        ly = EigenSpectrum(np.full(ky, 0.5), 3, 0.5 * ky)
+        for q in (1e-31, 1e-12, 1e-9, 1e-6, 1e-3, 0.5, 3.0, 30.0):
+            # Complete spectra: the uncentered S is 0.25 * sum Z^2.
+            exact = null_tail(lx, ly, 0.25 * q, centered=False)
+            assert abs(exact - tail(q)) <= 1e-12, (kx, ky, q, exact)
+
+
+@pytest.mark.filterwarnings("error")
+def test_null_tail_on_strong_dependence():
+    sample = sample_family(FamilySpec("normal", 0.9), 100, SeedSpec(17))
+    lx = kernel_eigenvalues(empirical_marginal(sample.xs), 100)
+    ly = kernel_eigenvalues(empirical_marginal(sample.ys), 100)
+    for centered, statistic in ((True, 100 * kappa_star(sample)), (False, 100 * kappa_hat(sample))):
+        p = null_tail(lx, ly, statistic, centered=centered)
+        assert 0.0 < p <= 1e-6
+        grid = np.linspace(-0.2, 1.5 * statistic, 40)
+        tails = np.array([null_tail(lx, ly, q, centered=centered) for q in grid])
+        assert np.all(tails > 0.0) and np.all(tails <= 1.0)
+        assert np.all(np.diff(tails) <= 0.0)
+        bounds = np.array([null_tail_bound(lx, ly, q, centered=centered) for q in grid])
+        assert np.all(tails <= bounds) and np.all(bounds <= 1.0)
+
+
+def test_null_tail_arguments():
+    lx, ly = _tail_spectra(5)
+    assert null_tail(lx, ly, -1.0, centered=True) == 1.0
+    assert null_tail(lx, ly, 0.0, centered=False) == 1.0
+    # At or below the mean the Chernoff bound says nothing.
+    assert null_tail_bound(lx, ly, 0.0, centered=True) == 1.0
+    with pytest.raises(DomainError):
+        null_tail(lx, ly, float("nan"), centered=True)
+    with pytest.raises(DomainError):
+        null_tail_bound(lx, ly, float("inf"), centered=True)
