@@ -281,14 +281,16 @@ def bvn_cdf(h: float, k: float, rho: float) -> float:
     if h == 0.0 and k == 0.0:
         return 0.25 + math.asin(rho) / (2.0 * math.pi)
     s = math.sqrt(1.0 - rho * rho)
-    # Displace an exactly-zero coordinate by a sub-epsilon step; the
-    # decomposition is continuous there and the slope ratios stay finite.
+    # Move a zero or near-zero coordinate out to a sub-epsilon step
+    # (keeping its sign); the decomposition is continuous there and the
+    # slope ratios stay finite instead of underflowing.
     tiny = 1e-300
-    hh = h if h != 0.0 else (tiny if k > 0 else -tiny)
-    kk = k if k != 0.0 else (tiny if h > 0 else -tiny)
+    hh = math.copysign(tiny, h if h != 0.0 else k) if abs(h) < tiny else h
+    kk = math.copysign(tiny, k if k != 0.0 else h) if abs(k) < tiny else k
     a_h = (kk - rho * hh) / (hh * s)
     a_k = (hh - rho * kk) / (kk * s)
-    correction = 0.0 if hh * kk > 0.0 else 0.5
+    # Compare signs: the product hh * kk underflows for two stand-ins.
+    correction = 0.0 if (hh > 0.0) == (kk > 0.0) else 0.5
     value = (
         0.5 * (special.ndtr(h) + special.ndtr(k))
         - special.owens_t(hh, a_h)

@@ -34,9 +34,12 @@ from .core import PairedSample
 from .errors import DegenerateMarginal, SampleTooSmall
 from .ustats import (
     PairwiseTables,
+    RowSums,
     UStatBundle,
     bundle_for_permutation,
     compute_ustats,
+    differences,
+    row_sums,
 )
 
 __all__ = [
@@ -150,10 +153,6 @@ def statistic_scale(data: PairedSample | UStatBundle) -> float:
     return 0.25 * (bundle.u12 + 2.0 * bundle.u3 + bundle.u1 * bundle.u2)
 
 
-def _difference_matrix(values: np.ndarray) -> np.ndarray:
-    return np.abs(values[:, None] - values[None, :])
-
-
 def kappa_tilde_direct(sample: PairedSample) -> float:
     """Defining kernel-product sum for the leave-type centered estimate.
 
@@ -165,14 +164,12 @@ def kappa_tilde_direct(sample: PairedSample) -> float:
     if n < 2:
         raise SampleTooSmall(f"need at least 2 observations, got {n}")
     scale = n / (n - 1.0)
-    dx = _difference_matrix(sample.xs)
+    dx = differences(sample.xs)
     row_x = dx.mean(axis=1)
-    grand_x = row_x.mean()
-    hx = -0.5 * (dx - scale * (row_x[:, None] + row_x[None, :] - grand_x))
-    dy = _difference_matrix(sample.ys)
+    hx = -0.5 * (dx - scale * (np.add.outer(row_x, row_x) - row_x.mean()))
+    dy = differences(sample.ys)
     row_y = dy.mean(axis=1)
-    grand_y = row_y.mean()
-    hy = -0.5 * (dy - scale * (row_y[:, None] + row_y[None, :] - grand_y))
+    hy = -0.5 * (dy - scale * (np.add.outer(row_y, row_y) - row_y.mean()))
     upper = np.triu_indices(n, 1)
     return float((hx[upper] * hy[upper]).sum()) / math.comb(n, 2)
 
@@ -185,12 +182,12 @@ def kappa_hat_direct(sample: PairedSample) -> float:
     n = sample.n
     if n < 2:
         raise SampleTooSmall(f"need at least 2 observations, got {n}")
-    dx = _difference_matrix(sample.xs)
+    dx = differences(sample.xs)
     row_x = dx.mean(axis=1)
-    hx = -0.5 * (dx - row_x[:, None] - row_x[None, :] + row_x.mean())
-    dy = _difference_matrix(sample.ys)
+    hx = -0.5 * (dx - np.add.outer(row_x, row_x) + row_x.mean())
+    dy = differences(sample.ys)
     row_y = dy.mean(axis=1)
-    hy = -0.5 * (dy - row_y[:, None] - row_y[None, :] + row_y.mean())
+    hy = -0.5 * (dy - np.add.outer(row_y, row_y) + row_y.mean())
     return float((hx * hy).sum()) / (float(n) * n)
 
 
@@ -209,31 +206,28 @@ def delta1_plugin(sample: PairedSample) -> float:
     * and the product of the marginal pairwise means.
 
     Variance is taken with denominator ``n``.  All three kappa
-    estimators share this limit, so one value serves for them all.
+    estimators share this limit, so one value serves for them all; it is
+    the ``delta1_hat`` of :func:`estimate` with ``with_variance=True``.
     """
-    n = sample.n
-    if n < 3:
-        raise SampleTooSmall(f"need at least 3 observations, got {n}")
-    dx = _difference_matrix(sample.xs)
-    dy = _difference_matrix(sample.ys)
-    g1 = dx.mean(axis=1)
-    g2 = dy.mean(axis=1)
-    mu1 = g1.mean()
-    mu2 = g2.mean()
-    g12 = (dx * dy).mean(axis=1)
-    cond_x = dx @ g2 / n
-    cond_y = dy @ g1 / n
-    projection = g12 + mu1 * g2 + mu2 * g1 - cond_x - cond_y - g1 * g2
+    return estimate(sample, with_variance=True).delta1_hat
+
+
+def _delta1_from_sums(sums: RowSums) -> float:
+    n = sums.n
+    g1, g2, g12 = sums.a / n, sums.b / n, sums.pair_rows / n
+    cond_x, cond_y = sums.cond_x / n / n, sums.cond_y / n / n
+    projection = g12 + g1.mean() * g2 + g2.mean() * g1 - cond_x - cond_y - g1 * g2
     return 0.25 * float(projection.var())
 
 
 def estimate(sample: PairedSample, with_variance: bool = False) -> KappaEstimates:
-    """All three kappa estimates of one sample in one O(n^2) pass."""
-    bundle = compute_ustats(sample)
-    star, tilde, hat = kappa_trio(bundle)
-    delta1 = delta1_plugin(sample) if with_variance else None
+    """All three kappa estimates of one sample, and on request the
+    plug-in variance, from one O(n^2) pass."""
+    sums = row_sums(sample, with_variance)
+    star, tilde, hat = kappa_trio(sums.bundle())
+    delta1 = _delta1_from_sums(sums) if with_variance else None
     return KappaEstimates(
-        kappa_star=star, kappa_tilde=tilde, kappa_hat=hat, n=bundle.n, delta1_hat=delta1
+        kappa_star=star, kappa_tilde=tilde, kappa_hat=hat, n=sums.n, delta1_hat=delta1
     )
 
 
@@ -250,6 +244,15 @@ def _clip_rho(value: float, lower: float) -> float:
     return value
 
 
+def _self_bundle(values: np.ndarray, row_totals: np.ndarray) -> UStatBundle:
+    # Bundle of the pair (values, values).  Its pair product
+    # sum_ij (v_i - v_j)^2 equals 2n * sum_i (v_i - mean)^2, so the row
+    # sums of the one difference matrix are all it needs.
+    centered = values - values.mean()
+    pair_prod = 2.0 * values.size * float(centered @ centered)
+    return RowSums(row_totals, row_totals, pair_prod).bundle()
+
+
 def rho_estimates(sample: PairedSample) -> RhoEstimates:
     """Normalized coefficients ``kappa(x, y) / sqrt(kappa(x, x) * kappa(y, y))``.
 
@@ -258,13 +261,17 @@ def rho_estimates(sample: PairedSample) -> RhoEstimates:
     DegenerateMarginal
         If either marginal is constant, making a self-coefficient zero.
     """
-    both = compute_ustats(sample)
-    self_x = compute_ustats(PairedSample(sample.xs, sample.xs))
-    self_y = compute_ustats(PairedSample(sample.ys, sample.ys))
+    sums = row_sums(sample)
+    both = sums.bundle()
+    self_x = _self_bundle(sample.xs, sums.a)
+    self_y = _self_bundle(sample.ys, sums.b)
 
     hat_x, hat_y = kappa_hat(self_x), kappa_hat(self_y)
     tilde_x, tilde_y = kappa_tilde(self_x), kappa_tilde(self_y)
-    if hat_x <= 0.0 or hat_y <= 0.0 or tilde_x <= 0.0 or tilde_y <= 0.0:
+    # A constant marginal has all-zero row sums; its centered square
+    # sum may still be a rounding residue above zero.
+    constant = not (sums.a.any() and sums.b.any())
+    if constant or min(hat_x, hat_y, tilde_x, tilde_y) <= 0.0:
         raise DegenerateMarginal(
             "a marginal is constant; normalized coefficients are undefined"
         )

@@ -19,7 +19,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import stats
@@ -29,7 +29,7 @@ from .core import FamilySpec, PairedSample, SeedSpec
 from .errors import DomainError, SampleTooSmall, UnknownEstimator
 from .estimators import (
     _trio_for_tables,
-    delta1_plugin,
+    estimate,
     kappa_hat,
     kappa_star,
     kappa_tilde,
@@ -115,18 +115,7 @@ class TestResult:
     seed: SeedSpec
 
     def as_dict(self) -> dict:
-        return {
-            "statistic_name": self.statistic_name,
-            "statistic": self.statistic,
-            "method": self.method,
-            "p_value": self.p_value,
-            "n": self.n,
-            "b_or_r": self.b_or_r,
-            "seed": {
-                "master_seed": self.seed.master_seed,
-                "stream_index": self.seed.stream_index,
-            },
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -160,28 +149,7 @@ class PowerReport:
         raise KeyError(f"no power cell for ({family!r}, {theta!r}, {estimator!r})")
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "replicates": self.replicates,
-            "alpha": self.alpha,
-            "method": self.method,
-            "b_or_r": self.b_or_r,
-            "estimators": list(self.estimators),
-            "seed": {
-                "master_seed": self.seed.master_seed,
-                "stream_index": self.seed.stream_index,
-            },
-            "cells": [
-                {
-                    "family": cell.family,
-                    "theta": cell.theta,
-                    "estimator": cell.estimator,
-                    "power": cell.power,
-                    "mc_stderr": cell.mc_stderr,
-                }
-                for cell in self.cells
-            ],
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -210,27 +178,7 @@ class NormalityReport:
         raise KeyError(f"no normality row for ({estimator!r}, n={n})")
 
     def as_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "theta": self.theta,
-            "kappa": self.kappa,
-            "replicates": self.replicates,
-            "seed": {
-                "master_seed": self.seed.master_seed,
-                "stream_index": self.seed.stream_index,
-            },
-            "rows": [
-                {
-                    "estimator": row.estimator,
-                    "n": row.n,
-                    "mean": row.mean,
-                    "variance": row.variance,
-                    "ks_distance": row.ks_distance,
-                    "rmse_sqrt_n": row.rmse_sqrt_n,
-                }
-                for row in self.rows
-            ],
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -242,13 +190,7 @@ class TimingReport:
     sd_seconds: float
 
     def as_dict(self) -> dict:
-        return {
-            "estimator": self.estimator,
-            "n": self.n,
-            "evals": self.evals,
-            "mean_seconds": self.mean_seconds,
-            "sd_seconds": self.sd_seconds,
-        }
+        return asdict(self)
 
 
 def _permutation_pvalues(
@@ -460,8 +402,9 @@ def normality_diagnostic(
             rng = SeedSpec(seed.master_seed, stream).generator()
             xs, ys = _draw(spec, n, rng)
             sample = PairedSample(xs, ys)
-            trio = np.array(kappa_trio(compute_ustats(sample)))
-            scale = math.sqrt(n / delta1_plugin(sample))
+            values = estimate(sample, with_variance=True)
+            trio = np.array([values.kappa_star, values.kappa_tilde, values.kappa_hat])
+            scale = math.sqrt(n / values.delta1_hat)
             estimates[r] = trio
             deviations[r] = scale * (trio - kappa0)
         for ei, estimator in enumerate(ESTIMATOR_NAMES):
@@ -487,11 +430,7 @@ def normality_diagnostic(
     )
 
 
-_TIMING_FUNCS = {
-    "star": lambda sample: kappa_star(compute_ustats(sample)),
-    "tilde": lambda sample: kappa_tilde(compute_ustats(sample)),
-    "hat": lambda sample: kappa_hat(compute_ustats(sample)),
-}
+_TIMING_FUNCS = {"star": kappa_star, "tilde": kappa_tilde, "hat": kappa_hat}
 
 
 def timing_benchmark(
@@ -528,7 +467,7 @@ def timing_benchmark(
         for rep, batch in enumerate(batches):
             start = time.perf_counter()
             for sample in batch:
-                func(sample)
+                func(compute_ustats(sample))
             times[rep] = time.perf_counter() - start
         reports.append(
             TimingReport(

@@ -46,6 +46,7 @@ from .errors import (
     NonMonotoneQuantile,
     SampleTooSmall,
 )
+from .ustats import differences
 
 __all__ = [
     "DiscreteMarginal",
@@ -290,10 +291,10 @@ def kernel_eigenvalues(
 def _centered_kernel_matrix(marginal: DiscreteMarginal) -> np.ndarray:
     x = marginal.points
     p = marginal.probs
-    absdiff = np.abs(x[:, None] - x[None, :])
+    absdiff = differences(x)
     g = absdiff @ p
     grand = float(p @ g)
-    return -0.5 * (absdiff - g[:, None] - g[None, :] + grand)
+    return -0.5 * (absdiff - np.add.outer(g, g) + grand)
 
 
 def dense_kernel_eigenvalues(
@@ -351,15 +352,14 @@ def null_limit_model(
         raise DomainError(f"need at least 1000 draws for a usable null model, got {r}")
     if lx.k == 0 or ly.k == 0:
         raise EmptySpectrum("both marginals need a nonempty spectrum")
-    k_eff = min(k, lx.k, ly.k)
-    lam = lx.lambdas[:k_eff]
-    eta = ly.lambdas[:k_eff]
+    lam = lx.lambdas[:k]
+    eta = ly.lambdas[:k]
     chunks: list[np.ndarray] = []
     offset = 1.0 if centered else 0.0
     for batch_index in range(math.ceil(r / _DRAW_BATCH)):
         size = min(_DRAW_BATCH, r - batch_index * _DRAW_BATCH)
         rng = _batch_generator(seed, batch_index)
-        z = rng.standard_normal((size, k_eff, k_eff))
+        z = rng.standard_normal((size, lam.size, eta.size))
         q = z * z - offset
         chunks.append((q @ eta) @ lam)
     draws = np.sort(np.concatenate(chunks))

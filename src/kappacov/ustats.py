@@ -19,8 +19,11 @@ through the identity::
 
 where ``a_i`` and ``b_i`` are the full absolute-difference row sums.
 Everything here therefore reduces to two difference matrices, their row
-sums, and one elementwise product, which also makes the memory-chunked
-path for large ``n`` straightforward.
+sums, and one elementwise product.  :func:`differences` is the one place
+a difference matrix is built, and :func:`row_sums` is the one pass over
+both matrices: it visits them in blocks of rows, so peak memory stays
+near ``_BLOCK_ELEMENTS`` floats per matrix at any ``n``, and on request
+it also collects the row-level sums the plug-in variance needs.
 """
 
 from __future__ import annotations
@@ -35,17 +38,19 @@ from .errors import SampleTooSmall
 
 __all__ = [
     "UStatBundle",
+    "RowSums",
     "PairwiseTables",
+    "differences",
+    "row_sums",
     "compute_ustats",
     "compute_ustats_bruteforce",
     "pairwise_tables",
     "bundle_for_permutation",
 ]
 
-# Above this sample size the difference matrices are built in row blocks
-# to cap peak memory near _BLOCK_ELEMENTS floats per matrix.
-_CHUNK_LIMIT = 4096
-_BLOCK_ELEMENTS = 8_000_000
+# row_sums builds the difference matrices in blocks of rows holding about
+# this many floats each; up to n = 1000 one block covers the whole matrix.
+_BLOCK_ELEMENTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -90,13 +95,44 @@ def _bundle_from_sums(
     )
 
 
-def compute_ustats(sample: PairedSample) -> UStatBundle:
-    """Compute the full bundle in O(n^2) time.
+def differences(values: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+    """``|values[i] - values[j]|`` for ``i`` in ``rows`` and every ``j``."""
+    return np.abs(values[rows][:, None] - values[None, :])
 
-    Parameters
-    ----------
-    sample : PairedSample
-        At least three observations.
+
+@dataclass(frozen=True, eq=False)
+class RowSums:
+    """Row-level sums of the two absolute-difference matrices ``dx, dy``.
+
+    ``a`` and ``b`` are the row sums of ``dx`` and ``dy`` and
+    ``pair_prod`` is the sum of ``dx * dy`` over all ordered pairs.  The
+    fields the plug-in variance needs are ``None`` unless requested:
+    ``pair_rows`` holds the row sums of ``dx * dy``, ``cond_x`` is
+    ``dx @ b`` and ``cond_y`` is ``dy @ a``.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    pair_prod: float
+    pair_rows: np.ndarray | None = None
+    cond_x: np.ndarray | None = None
+    cond_y: np.ndarray | None = None
+
+    @property
+    def n(self) -> int:
+        return self.a.size
+
+    def bundle(self) -> UStatBundle:
+        a, b = self.a, self.b
+        return _bundle_from_sums(self.n, float(a.sum()), float(b.sum()), self.pair_prod, float(a @ b))
+
+
+def row_sums(sample: PairedSample, with_variance: bool = False) -> RowSums:
+    """One blocked pass over both difference matrices.
+
+    ``with_variance`` also fills the fields of :class:`RowSums` that the
+    plug-in variance needs; they cost one more reduction and two
+    vector-matrix products per block.
 
     Raises
     ------
@@ -108,29 +144,44 @@ def compute_ustats(sample: PairedSample) -> UStatBundle:
     if n < 3:
         raise SampleTooSmall(f"need at least 3 observations, got {n}")
     x, y = sample.xs, sample.ys
+    a = np.empty(n)
+    b = np.empty(n)
+    pair_prod = 0.0
+    pair_rows = cond_x = cond_y = None
+    if with_variance:
+        pair_rows, cond_x, cond_y = np.empty(n), np.zeros(n), np.zeros(n)
+    block = max(1, _BLOCK_ELEMENTS // n)
+    for start in range(0, n, block):
+        rows = slice(start, start + block)
+        dx = differences(x, rows)
+        dy = differences(y, rows)
+        a[rows] = dx.sum(axis=1)
+        b[rows] = dy.sum(axis=1)
+        product = dx * dy
+        pair_prod += float(product.sum())
+        if with_variance:
+            pair_rows[rows] = product.sum(axis=1)
+            # Both matrices are symmetric, so the block's rows are also
+            # its columns' contributions to dx @ b and dy @ a.
+            cond_x += b[rows] @ dx
+            cond_y += a[rows] @ dy
+    return RowSums(a, b, pair_prod, pair_rows, cond_x, cond_y)
 
-    if n <= _CHUNK_LIMIT:
-        dx = np.abs(x[:, None] - x[None, :])
-        dy = np.abs(y[:, None] - y[None, :])
-        a = dx.sum(axis=1)
-        b = dy.sum(axis=1)
-        pair_prod = float((dx * dy).sum())
-    else:
-        a = np.empty(n)
-        b = np.empty(n)
-        pair_prod = 0.0
-        block = max(1, _BLOCK_ELEMENTS // n)
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            dxb = np.abs(x[start:stop, None] - x[None, :])
-            dyb = np.abs(y[start:stop, None] - y[None, :])
-            a[start:stop] = dxb.sum(axis=1)
-            b[start:stop] = dyb.sum(axis=1)
-            pair_prod += float((dxb * dyb).sum())
 
-    return _bundle_from_sums(
-        n, float(a.sum()), float(b.sum()), pair_prod, float(a @ b)
-    )
+def compute_ustats(sample: PairedSample) -> UStatBundle:
+    """Compute the full bundle in O(n^2) time and O(n) memory.
+
+    Parameters
+    ----------
+    sample : PairedSample
+        At least three observations.
+
+    Raises
+    ------
+    SampleTooSmall
+        If ``sample.n < 3``.
+    """
+    return row_sums(sample).bundle()
 
 
 def _symmetrized_triple(xi, xj, xk, yi, yj, yk) -> float:
@@ -231,9 +282,8 @@ def pairwise_tables(sample: PairedSample) -> PairwiseTables:
     n = sample.n
     if n < 3:
         raise SampleTooSmall(f"need at least 3 observations, got {n}")
-    x, y = sample.xs, sample.ys
-    dx = np.abs(x[:, None] - x[None, :])
-    dy = np.abs(y[:, None] - y[None, :])
+    dx = differences(sample.xs)
+    dy = differences(sample.ys)
     a = dx.sum(axis=1)
     b = dy.sum(axis=1)
     return PairwiseTables(

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.special as special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kappacov import (
@@ -211,12 +211,22 @@ def test_bvn_cdf_rho_domain():
         bvn_cdf(0.0, 0.0, 1.5)
 
 
+def test_bvn_cdf_at_subnormal_coordinates():
+    # The value is continuous at the origin, so coordinates below any
+    # working step still give the origin's value.
+    for h, k, rho in ((5e-324, 0.0, 0.875), (1e-310, 0.0, 0.5), (0.0, -1e-310, -0.3), (-5e-324, 1e-320, 0.2)):
+        expected = 0.25 + math.asin(rho) / (2.0 * math.pi)
+        assert math.isclose(bvn_cdf(h, k, rho), expected, rel_tol=1e-12), (h, k, rho)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.floats(-8, 8, allow_nan=False),
     st.floats(-8, 8, allow_nan=False),
     st.floats(-1, 1, allow_nan=False),
 )
+@example(5e-324, 0.0, 0.875)
+@example(1e-310, 0.0, 0.5)
 def test_bvn_cdf_bounds_and_symmetry(h, k, rho):
     value = bvn_cdf(h, k, rho)
     assert 0.0 <= value <= 1.0

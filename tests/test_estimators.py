@@ -26,6 +26,7 @@ from kappacov import (
     sample_family,
     statistic_scale,
 )
+from kappacov import ustats
 from conftest import random_paired_sample, random_spec, rel_err
 
 HAND_SAMPLE = PairedSample(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0]))
@@ -112,6 +113,53 @@ def test_delta1_plugin_matches_loop_oracle(rng):
     for _ in range(8):
         sample = random_paired_sample(rng, int(rng.integers(5, 25)))
         assert rel_err(delta1_plugin(sample), _delta1_by_loops(sample)) <= 1e-12
+
+
+def _rho_by_three_bundles(sample: PairedSample) -> tuple[float, float]:
+    # The defining ratio, with each self-coefficient from its own bundle.
+    both = compute_ustats(sample)
+    self_x = compute_ustats(PairedSample(sample.xs, sample.xs))
+    self_y = compute_ustats(PairedSample(sample.ys, sample.ys))
+    return (
+        kappa_hat(both) / math.sqrt(kappa_hat(self_x) * kappa_hat(self_y)),
+        kappa_tilde(both) / math.sqrt(kappa_tilde(self_x) * kappa_tilde(self_y)),
+    )
+
+
+@pytest.mark.parametrize("block_elements", [1, 100])
+@pytest.mark.parametrize("ties", [False, True])
+def test_blocked_sweep_variance_and_rho(rng, monkeypatch, ties, block_elements):
+    # 1-row blocks, and blocks of 1 to 33 rows for n = 3..64.
+    monkeypatch.setattr(ustats, "_BLOCK_ELEMENTS", block_elements)
+    for n in (3, 4, 7, 64, *rng.integers(8, 64, size=4)):
+        sample = random_paired_sample(rng, int(n), ties=ties)
+        values = estimate(sample, with_variance=True)
+        assert values.delta1_hat == delta1_plugin(sample)
+        assert rel_err(values.delta1_hat, _delta1_by_loops(sample)) <= 1e-12, n
+        rho = rho_estimates(sample)
+        rho_hat, rho_tilde = _rho_by_three_bundles(sample)
+        assert abs(rho.rho_hat - rho_hat) <= 1e-12, n
+        assert abs(rho.rho_tilde - rho_tilde) <= 1e-12, n
+
+
+def test_one_sweep_per_call(rng, monkeypatch):
+    # n = 40 in blocks of 10 rows: each call builds each matrix's four
+    # blocks once, with or without the variance sums.
+    monkeypatch.setattr(ustats, "_BLOCK_ELEMENTS", 400)
+    built = []
+    original = ustats.differences
+
+    def counting(values, rows=slice(None)):
+        built.append(rows)
+        return original(values, rows)
+
+    monkeypatch.setattr(ustats, "differences", counting)
+    sample = random_paired_sample(rng, 40)
+    for call in (lambda: estimate(sample, with_variance=True), lambda: rho_estimates(sample)):
+        built.clear()
+        call()
+        assert len(built) == 2 * 4
+        assert sorted({(rows.start, rows.stop) for rows in built}) == [(0, 10), (10, 20), (20, 30), (30, 40)]
 
 
 def test_delta1_plugin_positive_under_dependence():

@@ -215,6 +215,19 @@ def test_null_model_truncates_k():
     assert len(payload["draw_quantiles"]) == 17
 
 
+def test_null_model_keeps_each_spectrum_to_its_own_k():
+    # A binary x has one eigenvalue; the draws still sum over all of y's.
+    lx = kernel_eigenvalues(DiscreteMarginal(np.array([0.0, 1.0]), np.array([0.4, 0.6])), 10)
+    ly = _small_spectra()[1]
+    r = 20_000
+    model = null_limit_model(lx, ly, k=10, r=r, seed=SeedSpec(4), centered=False)
+    assert (model.lambdas.k, model.etas.k) == (1, 10)
+    lam = lx.lambdas[0]
+    eta = ly.lambdas[:10]
+    stderr = math.sqrt(2.0 * lam**2 * float((eta**2).sum()) / r)
+    assert abs(float(model.draws.mean()) - lam * float(eta.sum())) <= 4.0 * stderr
+
+
 def test_null_model_argument_validation():
     lx, ly = _small_spectra()
     with pytest.raises(DomainError):

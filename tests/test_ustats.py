@@ -20,7 +20,10 @@ from kappacov import (
     compute_ustats_bruteforce,
     pairwise_tables,
 )
+from kappacov import ustats
 from conftest import random_paired_sample, rel_err
+
+FIELDS = ("u1", "u2", "u12", "u3", "v1", "v2", "v12", "v3")
 
 HAND_SAMPLE = PairedSample(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0]))
 
@@ -54,6 +57,27 @@ def test_fast_matches_bruteforce_on_random_samples(rng, ties):
         slow = compute_ustats_bruteforce(sample)
         for field in ("u1", "u2", "u12", "u3", "v1", "v2", "v12", "v3"):
             assert rel_err(getattr(fast, field), getattr(slow, field)) <= 1e-12
+
+
+@pytest.mark.parametrize("block_elements", [1, 100])
+@pytest.mark.parametrize("ties", [False, True])
+def test_blocked_sweep_matches_bruteforce(rng, monkeypatch, ties, block_elements):
+    # 1-row blocks, and blocks of 1 to 33 rows for n = 3..64.
+    monkeypatch.setattr(ustats, "_BLOCK_ELEMENTS", block_elements)
+    for n in (3, 4, 7, 64, *rng.integers(8, 64, size=4)):
+        sample = random_paired_sample(rng, int(n), ties=ties)
+        fast = compute_ustats(sample)
+        slow = compute_ustats_bruteforce(sample)
+        for field in FIELDS:
+            assert rel_err(getattr(fast, field), getattr(slow, field)) <= 1e-12, (n, field)
+
+
+def test_differences_rows(rng):
+    values = rng.normal(size=7)
+    full = ustats.differences(values)
+    assert full.shape == (7, 7)
+    assert np.array_equal(full, [[abs(a - b) for b in values] for a in values])
+    assert np.array_equal(ustats.differences(values, slice(2, 5)), full[2:5])
 
 
 def test_with_replacement_identities(rng):
