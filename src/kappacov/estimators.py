@@ -32,15 +32,7 @@ import numpy as np
 
 from .core import PairedSample
 from .errors import DegenerateMarginal, SampleTooSmall
-from .ustats import (
-    PairwiseTables,
-    RowSums,
-    UStatBundle,
-    bundle_for_permutation,
-    compute_ustats,
-    differences,
-    row_sums,
-)
+from .ustats import RowSums, UStatBundle, compute_ustats, differences, row_sums
 
 __all__ = [
     "KappaEstimates",
@@ -279,10 +271,3 @@ def rho_estimates(sample: PairedSample) -> RhoEstimates:
     rho_hat = _clip_rho(kappa_hat(both) / math.sqrt(hat_x * hat_y), 0.0)
     rho_tilde = _clip_rho(kappa_tilde(both) / math.sqrt(tilde_x * tilde_y), -1.0)
     return RhoEstimates(rho_hat=rho_hat, rho_tilde=rho_tilde, n=sample.n)
-
-
-def _trio_for_tables(
-    tables: PairwiseTables, perm: np.ndarray | None
-) -> tuple[float, float, float]:
-    # Hot path for permutation loops.
-    return kappa_trio(bundle_for_permutation(tables, perm))

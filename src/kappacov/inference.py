@@ -1,9 +1,12 @@
 """Independence testing, power studies, normality diagnostics, timing.
 
 The permutation test is exact under the null: the second coordinate is
-permuted with the first held fixed, every statistic is recomputed from
-the permuted pairwise tables, and the p-value is
-``(1 + #{permuted >= observed}) / (B + 1)``.  The asymptotic route
+permuted with the first held fixed, all B permuted statistics and the
+observed one come from one sweep over the permutations
+(:func:`~kappacov.ustats.permutation_bundles`), and the p-value is
+``(1 + #{permuted >= observed}) / (B + 1)``, where a permuted statistic
+within ``1e-12 * statistic_scale`` below the observed one counts as a
+tie, since the two can differ by rounding alone.  The asymptotic route
 scales the statistic by n and refers it to the weighted chi-square null
 limit built from the empirical marginals, whose tail
 :func:`~kappacov.spectral.null_tail` computes without simulation.  Its
@@ -28,12 +31,12 @@ from .closedform import population_kappa
 from .core import FamilySpec, PairedSample, SeedSpec
 from .errors import DomainError, SampleTooSmall, UnknownEstimator
 from .estimators import (
-    _trio_for_tables,
     estimate,
     kappa_hat,
     kappa_star,
     kappa_tilde,
     kappa_trio,
+    statistic_scale,
 )
 from .samplers import _draw
 from .spectral import (
@@ -43,7 +46,7 @@ from .spectral import (
     null_tail,
     null_tail_bound,
 )
-from .ustats import compute_ustats, pairwise_tables
+from .ustats import compute_ustats, permutation_bundles
 
 __all__ = [
     "TestResult",
@@ -65,6 +68,10 @@ _DEFAULT_SPECTRUM_K = 100
 # which its exact tail does not use but callers still pass and get echoed.
 _MIN_B = 99
 _MIN_R = 1000
+# A permuted statistic this share of statistic_scale below the observed one
+# still counts as reaching it: statistics tied in exact arithmetic, as on
+# discrete data, differ by rounding alone.
+_TIE_TOLERANCE = 1e-12
 
 
 def _check_estimator(name: str) -> str:
@@ -194,15 +201,22 @@ class TimingReport:
 
 
 def _permutation_pvalues(
-    tables, b: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Observed trio and its three permutation p-values in one pass."""
-    observed = np.array(_trio_for_tables(tables, None))
-    exceed = np.zeros(3)
-    for _ in range(b):
-        perm = rng.permutation(tables.n)
-        exceed += np.array(_trio_for_tables(tables, perm)) >= observed
-    return observed, (1.0 + exceed) / (b + 1.0)
+    sample: PairedSample, b: int, rng: np.random.Generator
+) -> np.ndarray:
+    """The three permutation p-values of the trio from one sweep over the
+    identity, which gives the observed trio, and ``b`` permutations drawn
+    one ``rng.permutation`` call at a time."""
+    n = sample.n
+    # The smallest unsigned type that holds every index keeps B x n small.
+    perms = np.empty((b + 1, n), dtype=np.min_scalar_type(n - 1))
+    perms[0] = np.arange(n)
+    for row in perms[1:]:
+        row[:] = rng.permutation(n)
+    bundles = permutation_bundles(sample, perms)
+    trio = np.array(kappa_trio(bundles))
+    floor = trio[:, :1] - _TIE_TOLERANCE * statistic_scale(bundles)[0]
+    exceed = np.count_nonzero(trio[:, 1:] >= floor, axis=1)
+    return (1.0 + exceed) / (b + 1.0)
 
 
 def _asymptotic_null(
@@ -240,9 +254,8 @@ def independence_test(
     b_or_r = _check_b_or_r(method, b_or_r)
     index = ESTIMATOR_NAMES.index(estimator)
     if method == "permutation":
-        tables = pairwise_tables(sample)
-        observed, pvals = _permutation_pvalues(tables, b_or_r, seed.generator())
-        p_value = pvals[index]
+        observed = kappa_trio(compute_ustats(sample))
+        p_value = _permutation_pvalues(sample, b_or_r, seed.generator())[index]
     else:
         observed, lx, ly = _asymptotic_null(sample, spectrum_k)
         p_value = null_tail(lx, ly, observed[index], centered=estimator != "hat")
@@ -266,8 +279,7 @@ def _power_replicate_task(args) -> np.ndarray:
         xs, ys = _draw(spec, n, rng)
         sample = PairedSample(xs, ys)
         if method == "permutation":
-            _, pvals = _permutation_pvalues(pairwise_tables(sample), b_or_r, rng)
-            rejected[ci] = pvals <= alpha
+            rejected[ci] = _permutation_pvalues(sample, b_or_r, rng) <= alpha
         else:
             observed, lx, ly = _asymptotic_null(sample, k)
             for name in estimators:

@@ -24,6 +24,13 @@ a difference matrix is built, and :func:`row_sums` is the one pass over
 both matrices: it visits them in blocks of rows, so peak memory stays
 near ``_BLOCK_ELEMENTS`` floats per matrix at any ``n``, and on request
 it also collects the row-level sums the plug-in variance needs.
+
+Permuting ``y`` moves only the pair sum of ``|dx| * |dy|`` and the
+cross sum ``a @ b``: :func:`permutation_bundles` computes both for a
+whole array of permutations in chunks of bounded size.  Below
+``_SORT_MIN_N`` observations the pair sums come from one gather of the
+precomputed y table per chunk; from there on an O(n log n) merge-sort
+kernel computes them without any n^2 table.
 """
 
 from __future__ import annotations
@@ -46,11 +53,22 @@ __all__ = [
     "compute_ustats_bruteforce",
     "pairwise_tables",
     "bundle_for_permutation",
+    "permutation_bundles",
 ]
 
 # row_sums builds the difference matrices in blocks of rows holding about
 # this many floats each; up to n = 1000 one block covers the whole matrix.
 _BLOCK_ELEMENTS = 1_000_000
+
+# permutation_bundles switches from the table gather to the sort kernel at
+# this sample size: on a 2-vCPU x86 box with numpy 2.4, at B = 199 and 999,
+# the gather was the faster below it and the sort kernel from it on, except
+# just above 128, where the sort kernel pads each row to 256.
+_SORT_MIN_N = 108
+# Each chunk of permutations in permutation_bundles spans about this many
+# entries per working array: c * n**2 for the gather, c * 2**ceil(log2 n)
+# for the sort kernel.
+_SWEEP_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -264,8 +282,9 @@ class PairwiseTables:
 
     Holds both difference matrices and their row sums so each permuted
     bundle costs one index gather plus a few reductions instead of a
-    fresh O(n^2) rebuild.  Memory is 2 * n**2 floats; intended for the
-    sample sizes where permutation tests are practical (a few thousand).
+    fresh O(n^2) rebuild.  Memory is 2 * n**2 floats, so
+    :func:`permutation_bundles` builds them only below ``_SORT_MIN_N``
+    observations.
     """
 
     dx: np.ndarray
@@ -299,7 +318,8 @@ def bundle_for_permutation(
     ``perm=None`` reproduces the original pairing.  Only the y-side
     entries move: the y-difference matrix is gathered along both axes
     and its row sums are a permutation of the originals, so the x-only
-    and y-only means are unchanged.
+    and y-only means are unchanged.  One permutation per call; the
+    reference for :func:`permutation_bundles`.
     """
     if perm is None:
         pair_prod = float((tables.dx * tables.dy).sum())
@@ -311,3 +331,105 @@ def bundle_for_permutation(
     return _bundle_from_sums(
         tables.n, tables.sum_x, tables.sum_y, pair_prod, float(tables.a @ b)
     )
+
+
+def _gather_kernel(tables: PairwiseTables):
+    """Entries per permutation, and the pair sums of a chunk of
+    permutations by one flat gather of ``dy``."""
+    n = tables.n
+    dx, dy = tables.dx.ravel(), tables.dy.ravel()
+
+    def pair_sums(perms: np.ndarray) -> np.ndarray:
+        flat = perms[:, :, None] * n + perms[:, None, :]
+        return dy.take(flat.reshape(len(perms), -1)) @ dx
+
+    return n * n, pair_sums
+
+
+def _sort_kernel(sample: PairedSample, b: np.ndarray):
+    """Entries per permutation, and the pair sums of a chunk of
+    permutations in O(n log n) each.
+
+    With ``x`` in ascending order and ``w_j`` the permuted ``y`` paired
+    with ``x_j``, ``sum_{i<j} |x_i - x_j| |w_i - w_j|`` is
+    ``sum_j x_j (2 L_j - B_j)``, where ``L_j`` sums ``|w_i - w_j|`` over
+    the earlier ``i`` and ``B_j`` is the permuted row sum ``b``.  With
+    ``P_j`` the sum of the earlier ``w_i``, and ``c_j``, ``s_j`` the count
+    and the sum of those below ``w_j``,
+    ``L_j = P_j - j w_j + 2 (c_j w_j - s_j)``.  A bottom-up merge sort of
+    each row gives the last term: at every level a right-half element's
+    merged position says how many left-half values sort before it, and a
+    cumulative sum of the left-half values gives their total.  Both
+    coordinates are centered first, so offsets near 1e9 do not cancel.
+    """
+    n = sample.n
+    order = np.argsort(sample.xs, kind="stable")
+    x = sample.xs[order] - sample.xs.mean()
+    y = sample.ys - sample.ys.mean()
+    width = 1 << (n - 1).bit_length()
+    ramp = np.arange(1, n + 1)
+
+    def pair_sums(perms: np.ndarray) -> np.ndarray:
+        rows = len(perms)
+        perms = perms[:, order]
+        # Row k holds w and, moved along with it, the x it pairs with.  The
+        # padding comes after every real position and carries x = 0, so it
+        # adds nothing.
+        w = np.zeros((rows, width))
+        w[:, :n] = y[perms]
+        v = np.zeros((rows, width))
+        v[:, :n] = x
+        head = w[:, :n]
+        earlier = (np.cumsum(head, axis=1) - ramp * head) @ x
+        below = np.zeros(rows)
+        half = 1
+        while half < width:
+            idx = np.argsort(w.reshape(-1, 2 * half), axis=1, kind="stable")
+            flat = (idx + np.arange(0, w.size, 2 * half)[:, None]).ravel()
+            w = w.ravel().take(flat).reshape(rows, width)
+            v = v.ravel().take(flat).reshape(rows, width)
+            left = (idx < half).reshape(rows, width)
+            left_sum = np.cumsum((w * left).reshape(-1, 2 * half), axis=1)
+            left_count = np.arange(half, 3 * half) - idx
+            gap = w * left_count.reshape(rows, width) - left_sum.reshape(rows, width)
+            below += np.einsum("ij,ij->i", v * ~left, gap)
+            half *= 2
+        # Ordered pairs: twice sum_j x_j (2 L_j - B_j).
+        return 4.0 * earlier + 8.0 * below - 2.0 * (b[perms] @ x)
+
+    return width, pair_sums
+
+
+def permutation_bundles(sample: PairedSample, perms: np.ndarray) -> UStatBundle:
+    """Bundles of ``(xs, ys[perm])`` for every row ``perm`` of ``perms``.
+
+    ``perms`` is a ``(B, n)`` integer array of permutations of
+    ``range(n)``.  Returns one :class:`UStatBundle` in which the fields
+    that a permutation moves, ``u12``, ``u3``, ``v12`` and ``v3``, are
+    length-``B`` arrays, so the estimator formulas apply to it unchanged.
+    The pair sums come from the table gather below ``_SORT_MIN_N``
+    observations and from the sort kernel from there on; the cross sums
+    are ``b[perm] @ a``.  Permutations are swept in chunks of about
+    ``_SWEEP_ELEMENTS`` entries per working array.
+
+    Raises
+    ------
+    SampleTooSmall
+        If ``sample.n < 3``.
+    """
+    if sample.n < _SORT_MIN_N:
+        tables = pairwise_tables(sample)
+        a, b = tables.a, tables.b
+        width, pair_sums = _gather_kernel(tables)
+    else:
+        sums = row_sums(sample)
+        a, b = sums.a, sums.b
+        width, pair_sums = _sort_kernel(sample, b)
+    pair_prod = np.empty(len(perms))
+    cross = np.empty(len(perms))
+    step = max(1, _SWEEP_ELEMENTS // width)
+    for start in range(0, len(perms), step):
+        chunk = perms[start : start + step].astype(np.intp)
+        pair_prod[start : start + step] = pair_sums(chunk)
+        cross[start : start + step] = b[chunk] @ a
+    return _bundle_from_sums(sample.n, float(a.sum()), float(b.sum()), pair_prod, cross)

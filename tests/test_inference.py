@@ -1,10 +1,13 @@
 """Independence tests, power studies, normality diagnostics, timing."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from kappacov import inference, ustats
 from kappacov import (
     DomainError,
     FamilySpec,
@@ -58,6 +61,59 @@ def test_permutation_estimator_variants():
     assert tilde.statistic == kappa_tilde(sample)
     assert hat.statistic_name == "kappa_hat"
     assert 0.0 < tilde.p_value <= 1.0 and 0.0 < hat.p_value <= 1.0
+
+
+def _exact_trio(n, sum_x, sum_y, pair_prod, cross):
+    # kappa_star, kappa_tilde and kappa_hat of integer sums in exact arithmetic.
+    pairs, square = n * (n - 1), n * n
+    u1, u2, u12 = Fraction(sum_x, pairs), Fraction(sum_y, pairs), Fraction(pair_prod, pairs)
+    u3 = Fraction(cross - pair_prod, pairs * (n - 2))
+    star = (u12 + u1 * u2 - 2 * u3) / 4
+    tilde = star + (-2 * n * u12 + 2 * u3 + 2 * (n - 1) * u1 * u2) / (4 * (n - 1) ** 2)
+    v12, v3 = Fraction(pair_prod, square), Fraction(cross, square * n)
+    hat = (v12 - 2 * v3 + u1 * u2 * (n - 1) ** 2 / square) / 4
+    return star, tilde, hat
+
+
+def test_permutation_pvalues_count_ties_exactly(monkeypatch):
+    # Three-valued columns: many permuted statistics equal the observed one
+    # in exact arithmetic.  Both kernels must count exactly those as ties.
+    n, b = 30, 199
+    rng = np.random.default_rng(20261018)
+    for trial in range(12):
+        xs = rng.integers(0, 3, n) + 1000
+        ys = rng.integers(0, 3, n) + 1000
+        sample = PairedSample(xs.astype(float), ys.astype(float))
+        dx = np.abs(xs[:, None] - xs[None, :])
+        dy = np.abs(ys[:, None] - ys[None, :])
+        a, row_y = dx.sum(axis=1), dy.sum(axis=1)
+        perm_rng = np.random.default_rng(trial)
+        perms = [np.arange(n)] + [perm_rng.permutation(n) for _ in range(b)]
+        exact = np.array(
+            [
+                _exact_trio(n, int(a.sum()), int(row_y.sum()), int((dx * dy[p][:, p]).sum()), int(a @ row_y[p]))
+                for p in perms
+            ],
+            dtype=object,
+        )
+        expected = (1.0 + (exact[1:] >= exact[0]).sum(axis=0)) / (b + 1.0)
+        for cut in (0, 10**9):
+            monkeypatch.setattr(ustats, "_SORT_MIN_N", cut)
+            got = inference._permutation_pvalues(sample, b, np.random.default_rng(trial))
+            assert np.array_equal(got, expected.astype(float)), (trial, cut)
+
+
+def test_permutation_test_memory_is_bounded():
+    # The tables alone would hold 2 * 5000**2 floats, 400 MB.
+    sample = sample_family(NULL_SPEC, 5000, SeedSpec(5))
+    tracemalloc.start()
+    try:
+        result = independence_test(sample, b_or_r=99, seed=SeedSpec(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6, peak
+    assert 0.0 < result.p_value <= 1.0
 
 
 def test_test_result_as_dict():

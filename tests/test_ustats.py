@@ -6,6 +6,7 @@ combinatorial identities to the distinct-tuple ones.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from kappacov import (
     bundle_for_permutation,
     compute_ustats,
     compute_ustats_bruteforce,
+    kappa_trio,
     pairwise_tables,
+    statistic_scale,
 )
 from kappacov import ustats
 from conftest import random_paired_sample, rel_err
@@ -166,3 +169,62 @@ def test_fast_route_is_exact_property(xs, ys):
     for field in ("u1", "u2", "u12", "u3", "v3"):
         a, b = getattr(fast, field), getattr(slow, field)
         assert abs(a - b) <= 1e-10 * max(1.0, abs(a), abs(b))
+
+
+# Sizes at, next to and between the powers of two the sort kernel pads to.
+SWEEP_SIZES = (3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33)
+# _SORT_MIN_N values forcing the sort kernel and the table gather.
+KERNELS = {"sort": 0, "gather": 10**9}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_permutation_sweep_property(data):
+    n = data.draw(st.sampled_from(SWEEP_SIZES), label="n")
+    # Three-valued columns tie heavily; offsets near 1e9 cancel if uncentered.
+    values = data.draw(
+        st.sampled_from([st.floats(-50, 50), st.integers(0, 2).map(float)]), label="values"
+    )
+    offset = data.draw(st.sampled_from([0.0, 1e9, -1e9]), label="offset")
+    xs = np.array(data.draw(st.lists(values, min_size=n, max_size=n))) + offset
+    ys = np.array(data.draw(st.lists(values, min_size=n, max_size=n))) - offset
+    sample = PairedSample(xs, ys)
+    b = data.draw(st.integers(1, 4), label="B")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    perms = np.array([np.random.default_rng(seed + k).permutation(n) for k in range(b)])
+    kernel = data.draw(st.sampled_from(sorted(KERNELS)), label="kernel")
+    # One permutation per chunk, or the default chunking.
+    elements = data.draw(st.sampled_from([1, ustats._SWEEP_ELEMENTS]), label="elements")
+    with mock.patch.multiple(ustats, _SORT_MIN_N=KERNELS[kernel], _SWEEP_ELEMENTS=elements):
+        swept = np.array(kappa_trio(ustats.permutation_bundles(sample, perms)))
+    assert swept.shape == (3, b)
+    tables = pairwise_tables(sample)
+    bound = 1e-12 * statistic_scale(sample)
+    for k, perm in enumerate(perms):
+        permuted = PairedSample(xs, ys[perm])
+        for oracle in (bundle_for_permutation(tables, perm), compute_ustats_bruteforce(permuted)):
+            assert np.abs(swept[:, k] - kappa_trio(oracle)).max() <= bound, (k, oracle)
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_permutation_sweep_fields(rng, monkeypatch, kernel):
+    # Every field of every row, on a size that spans several chunks and pads.
+    monkeypatch.setattr(ustats, "_SORT_MIN_N", KERNELS[kernel])
+    monkeypatch.setattr(ustats, "_SWEEP_ELEMENTS", 1000)
+    sample = random_paired_sample(rng, 40, ties=True)
+    perms = np.array([np.arange(40)] + [rng.permutation(40) for _ in range(30)])
+    swept = ustats.permutation_bundles(sample, perms)
+    tables = pairwise_tables(sample)
+    assert swept.n == 40
+    for k, perm in enumerate(perms):
+        single = bundle_for_permutation(tables, perm)
+        for field in FIELDS:
+            value = np.broadcast_to(getattr(swept, field), len(perms))[k]
+            assert rel_err(value, getattr(single, field)) <= 1e-13, (k, field)
+
+
+def test_permutation_sweep_needs_three_observations():
+    sample = PairedSample(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
+    for cut in KERNELS.values():
+        with mock.patch.object(ustats, "_SORT_MIN_N", cut), pytest.raises(SampleTooSmall):
+            ustats.permutation_bundles(sample, np.array([[0, 1]]))
