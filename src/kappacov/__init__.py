@@ -11,17 +11,19 @@ weighted chi-square null limit, samplers for six dependent bivariate
 families, permutation and asymptotic independence tests, and the power,
 normality, and timing studies built on them, all behind a ``kappacov``
 command-line interface.
+
+This namespace exports what those workflows use.  The test oracles
+(brute-force and direct sums, the dense eigensolver, quadrature, the
+simulated null limit) and the engine's internals stay importable from
+their own modules.
 """
 
 from .core import (
-    DEFAULT_CONFIG,
     FAMILIES,
     FamilySpec,
-    NumericConfig,
     PairedSample,
     SeedSpec,
     load_sample,
-    substream,
     write_sample,
 )
 from .errors import (
@@ -42,56 +44,27 @@ from .errors import (
     UnknownEstimator,
     UnsupportedFamily,
 )
-from .ustats import (
-    PairwiseTables,
-    UStatBundle,
-    bundle_for_permutation,
-    compute_ustats,
-    compute_ustats_bruteforce,
-    pairwise_tables,
-)
+from .ustats import UStatBundle, compute_ustats
 from .estimators import (
     KappaEstimates,
     RhoEstimates,
     delta1_plugin,
     estimate,
     kappa_hat,
-    kappa_hat_direct,
-    kappa_hat_relation,
     kappa_star,
     kappa_tilde,
-    kappa_tilde_direct,
-    kappa_trio,
     rho_estimates,
-    statistic_scale,
 )
-from .closedform import (
-    PopulationMoments,
-    bvn_cdf,
-    bvn_moments,
-    exp_integral_G,
-    exp_integral_G_scaled,
-    kappa_bvn,
-    kappa_bvn_second_derivative,
-    kappa_from_moments,
-    kappa_gbed,
-    kappa_gbed_derivative,
-    kappa_quadrature_oracle,
-    population_kappa,
-)
+from .closedform import kappa_bvn, kappa_gbed, population_kappa
 from .spectral import (
     DiscreteMarginal,
     EigenSpectrum,
-    NullLimitModel,
-    dense_kernel_eigenvalues,
     discretize_marginal,
     empirical_marginal,
     kernel_eigenvalues,
-    null_limit_model,
-    null_pvalue,
     null_tail,
 )
-from .samplers import exponential_rate_switch, marginal_quantile, sample_family
+from .samplers import marginal_quantile, sample_family
 from .inference import (
     NormalityReport,
     NormalityRow,
@@ -110,14 +83,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "DEFAULT_CONFIG",
     "FAMILIES",
     "FamilySpec",
-    "NumericConfig",
     "PairedSample",
     "SeedSpec",
     "load_sample",
-    "substream",
     "write_sample",
     "AllValuesEqual",
     "DegenerateGrid",
@@ -135,48 +105,25 @@ __all__ = [
     "TooFewRows",
     "UnknownEstimator",
     "UnsupportedFamily",
-    "PairwiseTables",
     "UStatBundle",
-    "bundle_for_permutation",
     "compute_ustats",
-    "compute_ustats_bruteforce",
-    "pairwise_tables",
     "KappaEstimates",
     "RhoEstimates",
     "delta1_plugin",
     "estimate",
     "kappa_hat",
-    "kappa_hat_direct",
-    "kappa_hat_relation",
     "kappa_star",
     "kappa_tilde",
-    "kappa_tilde_direct",
-    "kappa_trio",
     "rho_estimates",
-    "statistic_scale",
-    "PopulationMoments",
-    "bvn_cdf",
-    "bvn_moments",
-    "exp_integral_G",
-    "exp_integral_G_scaled",
     "kappa_bvn",
-    "kappa_bvn_second_derivative",
-    "kappa_from_moments",
     "kappa_gbed",
-    "kappa_gbed_derivative",
-    "kappa_quadrature_oracle",
     "population_kappa",
     "DiscreteMarginal",
     "EigenSpectrum",
-    "NullLimitModel",
-    "dense_kernel_eigenvalues",
     "discretize_marginal",
     "empirical_marginal",
     "kernel_eigenvalues",
-    "null_limit_model",
-    "null_pvalue",
     "null_tail",
-    "exponential_rate_switch",
     "marginal_quantile",
     "sample_family",
     "NormalityReport",

@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--b",
         type=int,
         default=999,
-        help="permutation count; --method asymptotic needs >= 1000 but ignores it",
+        help="permutation count (>= 99); --method asymptotic ignores it",
     )
     _add_common(p_test)
     p_test.set_defaults(handler=_cmd_test)

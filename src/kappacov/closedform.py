@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from .core import DEFAULT_CONFIG, FamilySpec, NumericConfig
+from .core import FamilySpec
 from .errors import DomainError, ThetaOutOfRange, UnsupportedFamily
 
 __all__ = [
@@ -51,6 +51,10 @@ __all__ = [
 ]
 
 _EULER_GAMMA = 0.5772156649015328606
+# Termination tolerance of the exponential-integral series and continued
+# fraction, and the relative accuracy asked of the quadrature oracle.
+_SPECIAL_FN_TOL = 1e-12
+_QUAD_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -75,11 +79,12 @@ def kappa_from_moments(moments: PopulationMoments) -> float:
     return 0.25 * (moments.mu12 - 2.0 * moments.mu3 + moments.mu1 * moments.mu2)
 
 
-def _series_E1(x: float, tol: float) -> float:
+def _series_E1(x: float) -> float:
     # -gamma - log(x) + sum_k (-1)^(k+1) x^k / (k * k!), rapid for x <= 1.
     # Alternating tail is bounded by the first omitted term, so stopping
-    # two orders below tol leaves ample margin on the delivered error.
-    stop = max(0.005 * tol, 1e-17)
+    # two orders below the tolerance leaves ample margin on the delivered
+    # error.
+    stop = max(0.005 * _SPECIAL_FN_TOL, 1e-17)
     total = -_EULER_GAMMA - math.log(x)
     term = x
     total += term
@@ -91,12 +96,13 @@ def _series_E1(x: float, tol: float) -> float:
     raise ArithmeticError(f"series for the exponential integral stalled at x={x}")
 
 
-def _scaled_cf_E1(x: float, tol: float) -> float:
+def _scaled_cf_E1(x: float) -> float:
     # Modified Lentz evaluation of the continued fraction
     # exp(x) * E1(x) = 1 / (x + 1 - 1/(x + 3 - 4/(x + 5 - 9/(...)))).
     # Convergence is slowest near x = 1, where the truncation tail runs a
-    # few multiples of the last step; stop well below tol to absorb that.
-    stop = max(0.005 * tol, 5e-16)
+    # few multiples of the last step; stop well below the tolerance to
+    # absorb that.
+    stop = max(0.005 * _SPECIAL_FN_TOL, 5e-16)
     tiny = 1e-300
     b = x + 1.0
     c = 1.0 / tiny
@@ -119,7 +125,7 @@ def _scaled_cf_E1(x: float, tol: float) -> float:
     raise ArithmeticError(f"continued fraction for the exponential integral stalled at x={x}")
 
 
-def exp_integral_G(x: float, config: NumericConfig = DEFAULT_CONFIG) -> float:
+def exp_integral_G(x: float) -> float:
     """Exponential integral ``integral_{t >= 1} exp(-x t) / t dt`` for x > 0.
 
     Power series for ``x <= 1``, continued fraction beyond.  Underflows
@@ -130,11 +136,11 @@ def exp_integral_G(x: float, config: NumericConfig = DEFAULT_CONFIG) -> float:
     if not (x > 0.0) or math.isinf(x) or math.isnan(x):
         raise DomainError(f"exponential integral requires finite x > 0, got {x!r}")
     if x <= 1.0:
-        return _series_E1(x, config.special_fn_tol)
-    return math.exp(-x) * _scaled_cf_E1(x, config.special_fn_tol)
+        return _series_E1(x)
+    return math.exp(-x) * _scaled_cf_E1(x)
 
 
-def exp_integral_G_scaled(x: float, config: NumericConfig = DEFAULT_CONFIG) -> float:
+def exp_integral_G_scaled(x: float) -> float:
     """``exp(x) * exp_integral_G(x)``, stable for arbitrarily large x.
 
     The continued fraction produces the scaled product directly, so this
@@ -144,8 +150,8 @@ def exp_integral_G_scaled(x: float, config: NumericConfig = DEFAULT_CONFIG) -> f
     if not (x > 0.0) or math.isinf(x) or math.isnan(x):
         raise DomainError(f"exponential integral requires finite x > 0, got {x!r}")
     if x <= 1.0:
-        return math.exp(x) * _series_E1(x, config.special_fn_tol)
-    return _scaled_cf_E1(x, config.special_fn_tol)
+        return math.exp(x) * _series_E1(x)
+    return _scaled_cf_E1(x)
 
 
 def _check_gbed_theta(theta: float) -> float:
@@ -155,7 +161,7 @@ def _check_gbed_theta(theta: float) -> float:
     return theta
 
 
-def kappa_gbed(theta: float, config: NumericConfig = DEFAULT_CONFIG) -> float:
+def kappa_gbed(theta: float) -> float:
     """kappa of the exponential family with survival ``exp(-x-y-theta*x*y)``.
 
     Returns exactly 0.0 at ``theta = 0`` (independence).  Increasing on
@@ -164,18 +170,18 @@ def kappa_gbed(theta: float, config: NumericConfig = DEFAULT_CONFIG) -> float:
     theta = _check_gbed_theta(theta)
     if theta == 0.0:
         return 0.0
-    w2 = exp_integral_G_scaled(2.0 / theta, config)
-    w4 = exp_integral_G_scaled(4.0 / theta, config)
+    w2 = exp_integral_G_scaled(2.0 / theta)
+    w4 = exp_integral_G_scaled(4.0 / theta)
     return 0.5 / theta * w2 + 0.25 - 2.0 / theta * w4
 
 
-def kappa_gbed_derivative(theta: float, config: NumericConfig = DEFAULT_CONFIG) -> float:
+def kappa_gbed_derivative(theta: float) -> float:
     """Derivative of :func:`kappa_gbed` in theta; 0.0 at theta = 0 (limit)."""
     theta = _check_gbed_theta(theta)
     if theta == 0.0:
         return 0.0
-    w2 = exp_integral_G_scaled(2.0 / theta, config)
-    w4 = exp_integral_G_scaled(4.0 / theta, config)
+    w2 = exp_integral_G_scaled(2.0 / theta)
+    w4 = exp_integral_G_scaled(4.0 / theta)
     t2 = theta * theta
     t3 = t2 * theta
     return (
@@ -300,9 +306,7 @@ def bvn_cdf(h: float, k: float, rho: float) -> float:
     return float(min(1.0, max(0.0, value)))
 
 
-def kappa_quadrature_oracle(
-    spec: FamilySpec, config: NumericConfig = DEFAULT_CONFIG
-) -> float:
+def kappa_quadrature_oracle(spec: FamilySpec) -> float:
     """kappa by adaptive 2-D quadrature of ``(F12 - F1*F2)^2``.
 
     Independent of the closed forms: the normal integrand evaluates the
@@ -320,7 +324,7 @@ def kappa_quadrature_oracle(
 
         value, _ = integrate.dblquad(
             integrand, -9.0, 9.0, -9.0, 9.0,
-            epsabs=1e-13, epsrel=config.quad_rel_tol,
+            epsabs=1e-13, epsrel=_QUAD_REL_TOL,
         )
         return spec.sigma1 * spec.sigma2 * value
 
@@ -333,7 +337,7 @@ def kappa_quadrature_oracle(
 
         value, _ = integrate.dblquad(
             integrand, 0.0, 40.0, 0.0, 40.0,
-            epsabs=1e-13, epsrel=config.quad_rel_tol,
+            epsabs=1e-13, epsrel=_QUAD_REL_TOL,
         )
         return value
 

@@ -26,8 +26,6 @@ from .errors import (
 )
 
 __all__ = [
-    "NumericConfig",
-    "DEFAULT_CONFIG",
     "SeedSpec",
     "substream",
     "PairedSample",
@@ -37,36 +35,6 @@ __all__ = [
     "load_sample",
     "write_sample",
 ]
-
-
-@dataclass(frozen=True)
-class NumericConfig:
-    """Numerical tolerances shared across the package.
-
-    Attributes
-    ----------
-    eig_zero_tol : float
-        Eigenvalues at or below this magnitude are treated as the
-        removed constant mode or numerical noise and discarded.
-    quad_rel_tol : float
-        Target relative accuracy for the adaptive quadrature oracles.
-    special_fn_tol : float
-        Termination tolerance for special-function series and continued
-        fractions.
-    """
-
-    eig_zero_tol: float = 1e-10
-    quad_rel_tol: float = 1e-8
-    special_fn_tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        for name in ("eig_zero_tol", "quad_rel_tol", "special_fn_tol"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise DomainError(f"{name} must be a positive finite number, got {value!r}")
-
-
-DEFAULT_CONFIG = NumericConfig()
 
 
 @dataclass(frozen=True)
@@ -261,7 +229,7 @@ def load_sample(path) -> PairedSample:
     return PairedSample(np.asarray(xs), np.asarray(ys))
 
 
-def write_sample(path, sample: PairedSample, header: bool = True) -> None:
+def write_sample(path, sample: PairedSample) -> None:
     """Write a sample as CSV with 17 significant digits per value.
 
     Seventeen significant digits are enough to reproduce any float64
@@ -271,8 +239,7 @@ def write_sample(path, sample: PairedSample, header: bool = True) -> None:
     try:
         with open(path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
-            if header:
-                writer.writerow(["x", "y"])
+            writer.writerow(["x", "y"])
             for x, y in zip(sample.xs, sample.ys):
                 writer.writerow([format(x, ".17g"), format(y, ".17g")])
     except OSError as exc:

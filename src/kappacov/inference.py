@@ -9,8 +9,8 @@ within ``1e-12 * statistic_scale`` below the observed one counts as a
 tie, since the two can differ by rounding alone.  The asymptotic route
 scales the statistic by n and refers it to the weighted chi-square null
 limit built from the empirical marginals, whose tail
-:func:`~kappacov.spectral.null_tail` computes without simulation.  Its
-``b_or_r`` must still be at least 1000 but does not affect the p-value.
+:func:`~kappacov.spectral.null_tail` computes without simulation, so it
+ignores the permutation count ``b_or_r``.
 
 All three statistics inflate under dependence, so every test is
 one-sided in the upper tail.
@@ -64,10 +64,8 @@ __all__ = [
 ESTIMATOR_NAMES = ("star", "tilde", "hat")
 _METHODS = ("permutation", "asymptotic_null")
 _DEFAULT_SPECTRUM_K = 100
-# Floors on b_or_r: permutations B, and draws R for the asymptotic method,
-# which its exact tail does not use but callers still pass and get echoed.
+# Floor on the permutation count b_or_r, checked for both methods.
 _MIN_B = 99
-_MIN_R = 1000
 # A permuted statistic this share of statistic_scale below the observed one
 # still counts as reaching it: statistics tied in exact arithmetic, as on
 # discrete data, differ by rounding alone.
@@ -95,12 +93,10 @@ def _check_method(method: str) -> str:
     return method
 
 
-def _check_b_or_r(method: str, b_or_r: int) -> int:
+def _check_b_or_r(b_or_r: int) -> int:
     b_or_r = int(b_or_r)
     if b_or_r < _MIN_B:
         raise DomainError(f"b_or_r must be at least {_MIN_B}, got {b_or_r}")
-    if method == "asymptotic_null" and b_or_r < _MIN_R:
-        raise DomainError(f"the asymptotic method needs b_or_r of at least {_MIN_R}, got {b_or_r}")
     return b_or_r
 
 
@@ -244,14 +240,14 @@ def independence_test(
     """Test independence of the two coordinates, upper tail.
 
     ``b_or_r`` is the permutation count B (>= 99).  The asymptotic
-    method computes its p-value exactly, without draws; it still
-    requires ``b_or_r >= 1000`` and echoes it in the result.
+    method computes its p-value exactly, without draws; it checks and
+    echoes ``b_or_r`` the same way but does not use it.
     """
     estimator = _check_estimator(estimator)
     method = _check_method(method)
     if sample.n < 3:
         raise SampleTooSmall(f"independence test needs n >= 3, got {sample.n}")
-    b_or_r = _check_b_or_r(method, b_or_r)
+    b_or_r = _check_b_or_r(b_or_r)
     index = ESTIMATOR_NAMES.index(estimator)
     if method == "permutation":
         observed = kappa_trio(compute_ustats(sample))
@@ -324,7 +320,7 @@ def power_study(
             raise DomainError("grid entries must be FamilySpec instances")
     estimators = _check_estimators(estimators)
     method = _check_method(method)
-    b_or_r = _check_b_or_r(method, b_or_r)
+    b_or_r = _check_b_or_r(b_or_r)
     replicates = int(replicates)
     if replicates < 100:
         raise DomainError(f"need at least 100 replicates, got {replicates}")

@@ -37,11 +37,7 @@ from scipy import special
 from .core import FamilySpec, PairedSample, SeedSpec
 from .errors import DomainError, NOnPositive
 
-__all__ = [
-    "sample_family",
-    "marginal_quantile",
-    "exponential_rate_switch",
-]
+__all__ = ["sample_family", "marginal_quantile"]
 
 _LAPLACE_SCALE = 1.0 / math.sqrt(2.0)
 
@@ -118,29 +114,6 @@ def sample_family(spec: FamilySpec, n: int, seed: SeedSpec) -> PairedSample:
     if n < 1:
         raise NOnPositive(f"sample size must be positive, got {n}")
     xs, ys = _draw(spec, n, seed.generator())
-    return PairedSample(xs, ys)
-
-
-def exponential_rate_switch(theta: float, n: int, seed: SeedSpec) -> PairedSample:
-    """Diagnostic variant of the exponential sampler.
-
-    Draws the second coordinate as a single exponential whose rate
-    switches between 1 + theta*x and 2 + theta*x on the complementary
-    mixture weights (theta/a and (a - theta)/a).  Its second marginal
-    is not exponential; at theta = 0 it is Exp(2).  Kept so tests can
-    quantify how far this recipe strays from the exact sampler used by
-    :func:`sample_family`.
-    """
-    spec = FamilySpec("exponential", theta)
-    n = int(n)
-    if n < 1:
-        raise NOnPositive(f"sample size must be positive, got {n}")
-    rng = seed.generator()
-    xs = rng.standard_exponential(n)
-    a = 1.0 + spec.theta * xs
-    u = rng.random(n)
-    rate = np.where(u * a > a - spec.theta, a, a + 1.0)
-    ys = rng.standard_exponential(n) / rate
     return PairedSample(xs, ys)
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh, eigvalsh_tridiagonal
 
-from .core import DEFAULT_CONFIG, NumericConfig, SeedSpec
+from .core import SeedSpec
 from .errors import (
     AllValuesEqual,
     DegenerateGrid,
@@ -63,6 +63,9 @@ __all__ = [
 ]
 
 _DENSE_T_LIMIT = 200
+# Reciprocal (tridiagonal) or kernel (dense) eigenvalues at or below this
+# are discarded as the removed constant mode or numerical noise.
+_EIG_ZERO_TOL = 1e-10
 _DRAW_BATCH = 1024
 # Share of sum(w^2) that null_tail may drop from its weights.
 _TAIL_DROPPED = 1e-10
@@ -196,19 +199,6 @@ class NullLimitModel:
     def r(self) -> int:
         return int(self.draws.size)
 
-    def quantile_summary(self, count: int = 1024) -> np.ndarray:
-        grid = (np.arange(count) + 0.5) / count
-        return np.quantile(self.draws, grid)
-
-    def as_dict(self, summary_points: int = 1024) -> dict:
-        return {
-            "centered": self.centered,
-            "r": self.r,
-            "lambdas": self.lambdas.as_dict(),
-            "etas": self.etas.as_dict(),
-            "draw_quantiles": [float(v) for v in self.quantile_summary(summary_points)],
-        }
-
 
 def discretize_marginal(quantile_fn, t: int) -> DiscreteMarginal:
     """t-point equal-weight discretization at quantile levels (m - 1/2)/t.
@@ -255,17 +245,13 @@ def empirical_marginal(values) -> DiscreteMarginal:
     return DiscreteMarginal(points, counts / arr.size)
 
 
-def kernel_eigenvalues(
-    marginal: DiscreteMarginal,
-    k_max: int,
-    config: NumericConfig = DEFAULT_CONFIG,
-) -> EigenSpectrum:
+def kernel_eigenvalues(marginal: DiscreteMarginal, k_max: int) -> EigenSpectrum:
     """Top k_max kernel eigenvalues of a discrete marginal.
 
     Solves the positive definite tridiagonal system described in the
     module docstring; the reciprocals of its eigenvalues are the kernel
     eigenvalues, with the constant mode excluded by construction.  Any
-    reciprocal mode at or below ``config.eig_zero_tol`` is discarded as
+    reciprocal mode at or below ``_EIG_ZERO_TOL`` is discarded as
     numerically indistinguishable from degenerate.  A two-point marginal
     gives a 1 x 1 system whose one eigenvalue ``p_1 p_2 (x_2 - x_1)`` is
     its ``trace_target``.
@@ -281,7 +267,7 @@ def kernel_eigenvalues(
     diag = c * (1.0 / p[:-1] + 1.0 / p[1:])
     off = -np.sqrt(c[:-1] * c[1:]) / p[1:-1]
     mu = eigvalsh_tridiagonal(diag, off)
-    mu = mu[mu > config.eig_zero_tol]
+    mu = mu[mu > _EIG_ZERO_TOL]
     if mu.size == 0:
         raise EmptySpectrum("no eigenvalue exceeded the zero tolerance")
     lambdas = 1.0 / mu
@@ -297,11 +283,7 @@ def _centered_kernel_matrix(marginal: DiscreteMarginal) -> np.ndarray:
     return -0.5 * (absdiff - np.add.outer(g, g) + grand)
 
 
-def dense_kernel_eigenvalues(
-    marginal: DiscreteMarginal,
-    k_max: int,
-    config: NumericConfig = DEFAULT_CONFIG,
-) -> EigenSpectrum:
+def dense_kernel_eigenvalues(marginal: DiscreteMarginal, k_max: int) -> EigenSpectrum:
     """Oracle route: eigendecompose [sqrt(p_i p_j) h(x_i, x_j)] directly.
 
     Quadratic in t, so restricted to t <= 200.  Exists to cross-check
@@ -316,7 +298,7 @@ def dense_kernel_eigenvalues(
     root_p = np.sqrt(marginal.probs)
     kernel = _centered_kernel_matrix(marginal) * np.outer(root_p, root_p)
     eigvals = eigh(kernel, eigvals_only=True)[::-1]
-    eigvals = eigvals[eigvals > config.eig_zero_tol]
+    eigvals = eigvals[eigvals > _EIG_ZERO_TOL]
     if eigvals.size == 0:
         raise EmptySpectrum("no eigenvalue exceeded the zero tolerance")
     return EigenSpectrum(eigvals[:k_max], t, marginal.trace_target)

@@ -30,7 +30,8 @@ cross sum ``a @ b``: :func:`permutation_bundles` computes both for a
 whole array of permutations in chunks of bounded size.  Below
 ``_SORT_MIN_N`` observations the pair sums come from one gather of the
 precomputed y table per chunk; from there on an O(n log n) merge-sort
-kernel computes them without any n^2 table.
+kernel computes them, and one sort per coordinate gives the row sums,
+without any n^2 table or pass.
 """
 
 from __future__ import annotations
@@ -400,6 +401,26 @@ def _sort_kernel(sample: PairedSample, b: np.ndarray):
     return width, pair_sums
 
 
+def _sorted_row_sums(values: np.ndarray) -> np.ndarray:
+    """Row sums ``sum_j |v_i - v_j|`` in O(n log n), without a matrix.
+
+    With the values in ascending order and ``g_m`` the step from the
+    (m-1)-th to the m-th, the row sum at sorted position ``k`` is
+    ``sum_{m <= k} m g_m + sum_{m > k} (n - m) g_m``.  Both cumulative
+    sums add nonnegative terms, and a tie adds an exact 0, so neither
+    offsets near 1e9 nor long runs of ties cancel.
+    """
+    n = values.size
+    order = np.argsort(values, kind="stable")
+    steps = np.diff(values[order])
+    m = np.arange(1, n)
+    below = np.cumsum(m * steps)
+    above = np.cumsum(((n - m) * steps)[::-1])[::-1]
+    sums = np.empty(n)
+    sums[order] = np.concatenate(([0.0], below)) + np.concatenate((above, [0.0]))
+    return sums
+
+
 def permutation_bundles(sample: PairedSample, perms: np.ndarray) -> UStatBundle:
     """Bundles of ``(xs, ys[perm])`` for every row ``perm`` of ``perms``.
 
@@ -408,8 +429,9 @@ def permutation_bundles(sample: PairedSample, perms: np.ndarray) -> UStatBundle:
     that a permutation moves, ``u12``, ``u3``, ``v12`` and ``v3``, are
     length-``B`` arrays, so the estimator formulas apply to it unchanged.
     The pair sums come from the table gather below ``_SORT_MIN_N``
-    observations and from the sort kernel from there on; the cross sums
-    are ``b[perm] @ a``.  Permutations are swept in chunks of about
+    observations and from the sort kernel from there on, where the row
+    sums ``a`` and ``b`` also come from a sort; the cross sums are
+    ``b[perm] @ a``.  Permutations are swept in chunks of about
     ``_SWEEP_ELEMENTS`` entries per working array.
 
     Raises
@@ -417,13 +439,14 @@ def permutation_bundles(sample: PairedSample, perms: np.ndarray) -> UStatBundle:
     SampleTooSmall
         If ``sample.n < 3``.
     """
+    if sample.n < 3:
+        raise SampleTooSmall(f"need at least 3 observations, got {sample.n}")
     if sample.n < _SORT_MIN_N:
         tables = pairwise_tables(sample)
         a, b = tables.a, tables.b
         width, pair_sums = _gather_kernel(tables)
     else:
-        sums = row_sums(sample)
-        a, b = sums.a, sums.b
+        a, b = _sorted_row_sums(sample.xs), _sorted_row_sums(sample.ys)
         width, pair_sums = _sort_kernel(sample, b)
     pair_prod = np.empty(len(perms))
     cross = np.empty(len(perms))

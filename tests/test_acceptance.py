@@ -19,28 +19,31 @@ from kappacov import (
     FamilySpec,
     SeedSpec,
     compute_ustats,
-    compute_ustats_bruteforce,
-    dense_kernel_eigenvalues,
     discretize_marginal,
     kappa_bvn,
-    kappa_bvn_second_derivative,
     kappa_gbed,
-    kappa_gbed_derivative,
     kappa_hat,
-    kappa_hat_direct,
-    kappa_quadrature_oracle,
     kappa_tilde,
-    kappa_tilde_direct,
-    kappa_trio,
     kernel_eigenvalues,
     marginal_quantile,
     normality_diagnostic,
-    null_limit_model,
     power_study,
     sample_family,
-    statistic_scale,
     timing_benchmark,
 )
+from kappacov.closedform import (
+    kappa_bvn_second_derivative,
+    kappa_gbed_derivative,
+    kappa_quadrature_oracle,
+)
+from kappacov.estimators import (
+    kappa_hat_direct,
+    kappa_tilde_direct,
+    kappa_trio,
+    statistic_scale,
+)
+from kappacov.spectral import dense_kernel_eigenvalues, null_limit_model
+from kappacov.ustats import compute_ustats_bruteforce
 from conftest import THETA_RANGE, rel_err
 
 FAST_MODE = os.environ.get("KAPPACOV_ACCEPTANCE_FAST", "") not in ("", "0")

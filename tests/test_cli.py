@@ -120,18 +120,21 @@ def test_test_bad_method_exits_2(capsys, sample_csv):
     assert code == 2
 
 
-def test_test_asymptotic_requires_enough_draws(capsys, sample_csv):
+def test_test_asymptotic_with_default_b(capsys, sample_csv):
     path, _ = sample_csv
-    code, _, err = invoke(capsys, ["test", "--input", path, "--method", "asymptotic"])
+    argv = ["test", "--input", path, "--method", "asymptotic"]
+    code, out, err = invoke(capsys, argv)
+    assert code == 0 and err == ""
+    default = json.loads(out)
+    assert default["method"] == "asymptotic_null"
+    assert default["b_or_r"] == 999
+    assert 0.0 < default["p_value"] <= 1.0
+    code, out, _ = invoke(capsys, argv + ["--b", "1500"])
+    assert code == 0
+    assert json.loads(out)["p_value"] == default["p_value"]
+    code, _, err = invoke(capsys, argv + ["--b", "98"])
     assert code == 1
     assert err.startswith("DomainError:")
-    code, out, _ = invoke(
-        capsys, ["test", "--input", path, "--method", "asymptotic", "--b", "1500"]
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["method"] == "asymptotic_null"
-    assert 0.0 < payload["p_value"] <= 1.0
 
 
 def test_module_entry_point(capsys):

@@ -12,20 +12,22 @@ from hypothesis import strategies as st
 from kappacov import (
     DomainError,
     FamilySpec,
-    PopulationMoments,
     ThetaOutOfRange,
     UnsupportedFamily,
+    kappa_bvn,
+    kappa_gbed,
+    population_kappa,
+)
+from kappacov.closedform import (
+    PopulationMoments,
     bvn_cdf,
     bvn_moments,
     exp_integral_G,
     exp_integral_G_scaled,
-    kappa_bvn,
     kappa_bvn_second_derivative,
     kappa_from_moments,
-    kappa_gbed,
     kappa_gbed_derivative,
     kappa_quadrature_oracle,
-    population_kappa,
 )
 
 # Frozen against mpmath-grade quadrature of the defining double integral;

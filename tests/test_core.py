@@ -1,14 +1,12 @@
-"""Core types, configuration, seeding, and CSV handling."""
+"""Core types, seeding, and CSV handling."""
 
 import numpy as np
 import pytest
 
 from kappacov import (
-    DEFAULT_CONFIG,
     DomainError,
     FamilySpec,
     InvalidSample,
-    NumericConfig,
     PairedSample,
     ParseError,
     SampleIOError,
@@ -17,22 +15,9 @@ from kappacov import (
     TooFewRows,
     UnsupportedFamily,
     load_sample,
-    substream,
     write_sample,
 )
-
-
-def test_numeric_config_defaults():
-    assert DEFAULT_CONFIG.eig_zero_tol == 1e-10
-    assert DEFAULT_CONFIG.quad_rel_tol == 1e-8
-    assert DEFAULT_CONFIG.special_fn_tol == 1e-12
-
-
-@pytest.mark.parametrize("field", ["eig_zero_tol", "quad_rel_tol", "special_fn_tol"])
-@pytest.mark.parametrize("bad", [0.0, -1e-8, float("nan"), float("inf")])
-def test_numeric_config_rejects_bad_tolerances(field, bad):
-    with pytest.raises(DomainError):
-        NumericConfig(**{field: bad})
+from kappacov.core import substream
 
 
 def test_seedspec_generator_is_reproducible():

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kappacov import (
     DegenerateMarginal,
@@ -16,14 +18,16 @@ from kappacov import (
     delta1_plugin,
     estimate,
     kappa_hat,
-    kappa_hat_direct,
-    kappa_hat_relation,
     kappa_star,
     kappa_tilde,
-    kappa_tilde_direct,
-    kappa_trio,
     rho_estimates,
     sample_family,
+)
+from kappacov.estimators import (
+    kappa_hat_direct,
+    kappa_hat_relation,
+    kappa_tilde_direct,
+    kappa_trio,
     statistic_scale,
 )
 from kappacov import ustats
@@ -62,6 +66,43 @@ def test_relations_match_direct_definitions(rng):
         assert rel_err(kappa_tilde(bundle), kappa_tilde_direct(sample), floor) <= 1e-12
         assert rel_err(kappa_hat(bundle), kappa_hat_direct(sample), floor) <= 1e-12
         assert rel_err(kappa_hat(bundle), kappa_hat_relation(bundle), floor) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_input_scale_property(data):
+    # Scale factors 10^k, k in [-100, 100], move every statistic by |c d|
+    # without overflow, underflow or loss; an offset of up to 1e9 times
+    # the scale is then added so that subtracting it again is exact.
+    n = data.draw(st.integers(3, 24), label="n")
+    untied = st.integers(-50_000, 50_000).map(lambda v: v / 1000.0)
+    tied = st.integers(0, 2).map(float)
+    columns = []
+    for name in ("x", "y"):
+        values = data.draw(st.sampled_from([untied, tied]), label=f"{name} values")
+        columns.append(np.array(data.draw(st.lists(values, min_size=n, max_size=n), label=name)))
+    base = PairedSample(*columns)
+    c, d = (
+        data.draw(st.sampled_from([-1.0, 1.0]), label="sign")
+        * 10.0 ** data.draw(st.integers(-100, 100), label="k")
+        for _ in range(2)
+    )
+    scaled = PairedSample(c * base.xs, d * base.ys)
+    bound = 1e-12 * statistic_scale(scaled)
+    for estimator in (kappa_star, kappa_tilde, kappa_hat):
+        assert abs(estimator(scaled) - abs(c * d) * estimator(base)) <= bound, estimator
+
+    offset = data.draw(st.sampled_from([0.0, 1e3, 1e9, -1e9]), label="offset")
+    shift_x, shift_y = offset * c, offset * d
+    shifted = PairedSample(scaled.xs + shift_x, scaled.ys + shift_y)
+    back = PairedSample(shifted.xs - shift_x, shifted.ys - shift_y)
+    bound = 1e-12 * statistic_scale(shifted)
+    for estimator in (kappa_star, kappa_tilde, kappa_hat):
+        assert abs(estimator(shifted) - estimator(back)) <= bound, estimator
+    bundle = compute_ustats(shifted)
+    assert abs(kappa_tilde(bundle) - kappa_tilde_direct(shifted)) <= bound
+    assert abs(kappa_hat(bundle) - kappa_hat_direct(shifted)) <= bound
+    assert abs(kappa_hat(bundle) - kappa_hat_relation(bundle)) <= bound
 
 
 def test_kappa_hat_is_nonnegative(rng):

@@ -158,16 +158,23 @@ def test_asymptotic_test_basics():
 
 
 def test_asymptotic_test_needs_enough_draws():
-    # The null limit model requires R >= 1000; the permutation floor of
-    # 99 does not apply to this method.
+    # B < 99 is rejected whatever the method; the asymptotic method
+    # echoes B but its exact tail does not depend on it.
     sample = sample_family(NULL_SPEC, 50, SeedSpec(11))
-    with pytest.raises(DomainError):
-        independence_test(sample, method="asymptotic_null", b_or_r=999)
+    for method in ("permutation", "asymptotic_null"):
+        with pytest.raises(DomainError):
+            independence_test(sample, method=method, b_or_r=98)
+    low = independence_test(sample, method="asymptotic_null", b_or_r=99)
+    high = independence_test(sample, method="asymptotic_null", b_or_r=1500)
+    assert (low.b_or_r, high.b_or_r) == (99, 1500)
+    assert low.p_value == high.p_value
 
 
 def test_power_study_asymptotic_needs_enough_draws():
-    with pytest.raises(DomainError):
-        power_study([NULL_SPEC], n=40, replicates=100, method="asymptotic_null", b_or_r=999)
+    # power_study applies the same B >= 99 rule for both methods.
+    for method in ("permutation", "asymptotic_null"):
+        with pytest.raises(DomainError):
+            power_study([NULL_SPEC], n=40, replicates=100, method=method, b_or_r=98)
 
 
 def test_asymptotic_test_on_binary_marginal():

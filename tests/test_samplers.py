@@ -11,12 +11,12 @@ from kappacov import (
     DomainError,
     FamilySpec,
     NOnPositive,
+    PairedSample,
     SeedSpec,
-    exp_integral_G_scaled,
-    exponential_rate_switch,
     marginal_quantile,
     sample_family,
 )
+from kappacov.closedform import exp_integral_G_scaled
 
 MARGINAL_DISTS = {
     "normal": stats.norm(),
@@ -122,6 +122,29 @@ def test_exponential_family_joint_survival():
         empirical = float(np.mean((sample.xs > s) & (sample.ys > t)))
         exact = math.exp(-s - t - theta * s * t)
         assert abs(empirical - exact) < 0.006
+
+
+def exponential_rate_switch(theta: float, n: int, seed: SeedSpec) -> PairedSample:
+    """A deliberately wrong exponential sampler.
+
+    Draws the second coordinate as a single exponential whose rate
+    switches between 1 + theta*x and 2 + theta*x on the complementary
+    mixture weights (theta/a and (a - theta)/a).  Its second marginal
+    is not exponential; at theta = 0 it is Exp(2).  The tests below
+    quantify how far this recipe strays from the exact sampler used by
+    :func:`sample_family`.
+    """
+    spec = FamilySpec("exponential", theta)
+    n = int(n)
+    if n < 1:
+        raise NOnPositive(f"sample size must be positive, got {n}")
+    rng = seed.generator()
+    xs = rng.standard_exponential(n)
+    a = 1.0 + spec.theta * xs
+    u = rng.random(n)
+    rate = np.where(u * a > a - spec.theta, a, a + 1.0)
+    ys = rng.standard_exponential(n) / rate
+    return PairedSample(xs, ys)
 
 
 def test_rate_switch_diagnostic_misses_the_marginal():

@@ -17,19 +17,21 @@ from kappacov import (
     NonMonotoneQuantile,
     SampleTooSmall,
     SeedSpec,
-    dense_kernel_eigenvalues,
     discretize_marginal,
     empirical_marginal,
     kappa_hat,
     kappa_star,
     kernel_eigenvalues,
     marginal_quantile,
-    null_limit_model,
-    null_pvalue,
     null_tail,
     sample_family,
 )
-from kappacov.spectral import null_tail_bound
+from kappacov.spectral import (
+    dense_kernel_eigenvalues,
+    null_limit_model,
+    null_pvalue,
+    null_tail_bound,
+)
 
 
 def uniform_marginal(t: int) -> DiscreteMarginal:
@@ -210,9 +212,6 @@ def test_null_model_truncates_k():
     lx, ly = _small_spectra()
     model = null_limit_model(lx, ly, k=10_000, r=1000, seed=SeedSpec(1), centered=True)
     assert model.lambdas.k == 20
-    payload = model.as_dict(summary_points=17)
-    assert payload["r"] == 1000
-    assert len(payload["draw_quantiles"]) == 17
 
 
 def test_null_model_keeps_each_spectrum_to_its_own_k():
@@ -250,14 +249,6 @@ def test_null_pvalue_tail_behavior():
         assert abs(p - (1.0 - q)) < 0.02
     with pytest.raises(DomainError):
         null_pvalue(model, float("nan"))
-
-
-def test_quantile_summary_shape():
-    lx, ly = _small_spectra()
-    model = null_limit_model(lx, ly, k=20, r=1500, seed=SeedSpec(2), centered=True)
-    summary = model.quantile_summary(count=33)
-    assert summary.shape == (33,)
-    assert np.all(np.diff(summary) >= 0.0)
 
 
 # --- exact tail -------------------------------------------------------------------

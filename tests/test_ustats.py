@@ -16,12 +16,13 @@ from hypothesis import strategies as st
 from kappacov import (
     PairedSample,
     SampleTooSmall,
-    bundle_for_permutation,
     compute_ustats,
+)
+from kappacov.estimators import kappa_trio, statistic_scale
+from kappacov.ustats import (
+    bundle_for_permutation,
     compute_ustats_bruteforce,
-    kappa_trio,
     pairwise_tables,
-    statistic_scale,
 )
 from kappacov import ustats
 from conftest import random_paired_sample, rel_err
