@@ -4,13 +4,13 @@ The central quantity is a nonnegative covariance between two real
 random variables that is zero exactly when they are independent; it
 equals the integrated squared gap between the joint distribution
 function and the product of its marginals.  The package provides three
-sample estimators sharing one O(n^2) pairwise engine, closed-form
-population curves for the normal and exponential families with a
-quadrature cross-check, the kernel eigenvalue machinery behind the
-weighted chi-square null limit, samplers for six dependent bivariate
-families, permutation and asymptotic independence tests, and the power,
-normality, and timing studies built on them, all behind a ``kappacov``
-command-line interface.
+sample estimators from one pairwise engine and their plug-in variance,
+closed-form population curves for the normal and exponential families
+with a quadrature cross-check, the kernel eigenvalue machinery behind
+the weighted chi-square null limit, samplers for six dependent
+bivariate families, permutation and asymptotic independence tests,
+and the power, normality, and timing studies built on them, all behind
+a ``kappacov`` command-line interface.
 
 This namespace exports what those workflows use.  The test oracles
 (brute-force and direct sums, the dense eigensolver, quadrature, the

@@ -33,6 +33,7 @@ import numpy as np
 from .core import PairedSample
 from .errors import DegenerateMarginal, SampleTooSmall
 from .ustats import RowSums, UStatBundle, compute_ustats, differences, row_sums
+from .ustats import _bundle_from_sums, _sorted_row_sums
 
 __all__ = [
     "KappaEstimates",
@@ -84,7 +85,7 @@ def kappa_star(data: PairedSample | UStatBundle) -> float:
     """Quarter combination of the distinct-tuple means.
 
     Accepts a sample, or a precomputed bundle when several statistics
-    share one O(n^2) pass.
+    share one :func:`~kappacov.ustats.compute_ustats` call.
     """
     bundle = _as_bundle(data)
     return 0.25 * (bundle.u12 + bundle.u1 * bundle.u2 - 2.0 * bundle.u3)
@@ -200,12 +201,14 @@ def delta1_plugin(sample: PairedSample) -> float:
     Variance is taken with denominator ``n``.  All three kappa
     estimators share this limit, so one value serves for them all; it is
     the ``delta1_hat`` of :func:`estimate` with ``with_variance=True``.
+    The row-level sums it needs cost one blocked O(n^2) pass
+    (:func:`~kappacov.ustats.row_sums`).
     """
-    return estimate(sample, with_variance=True).delta1_hat
+    return _delta1_from_sums(row_sums(sample))
 
 
 def _delta1_from_sums(sums: RowSums) -> float:
-    n = sums.n
+    n = sums.a.size
     g1, g2, g12 = sums.a / n, sums.b / n, sums.pair_rows / n
     cond_x, cond_y = sums.cond_x / n / n, sums.cond_y / n / n
     projection = g12 + g1.mean() * g2 + g2.mean() * g1 - cond_x - cond_y - g1 * g2
@@ -213,13 +216,12 @@ def _delta1_from_sums(sums: RowSums) -> float:
 
 
 def estimate(sample: PairedSample, with_variance: bool = False) -> KappaEstimates:
-    """All three kappa estimates of one sample, and on request the
-    plug-in variance, from one O(n^2) pass."""
-    sums = row_sums(sample, with_variance)
-    star, tilde, hat = kappa_trio(sums.bundle())
-    delta1 = _delta1_from_sums(sums) if with_variance else None
+    """All three kappa estimates of one sample from one bundle, and on
+    request the plug-in variance of :func:`delta1_plugin`."""
+    star, tilde, hat = kappa_trio(sample)
+    delta1 = delta1_plugin(sample) if with_variance else None
     return KappaEstimates(
-        kappa_star=star, kappa_tilde=tilde, kappa_hat=hat, n=sums.n, delta1_hat=delta1
+        kappa_star=star, kappa_tilde=tilde, kappa_hat=hat, n=sample.n, delta1_hat=delta1
     )
 
 
@@ -236,13 +238,17 @@ def _clip_rho(value: float, lower: float) -> float:
     return value
 
 
-def _self_bundle(values: np.ndarray, row_totals: np.ndarray) -> UStatBundle:
+def _self_bundle(values: np.ndarray) -> UStatBundle:
     # Bundle of the pair (values, values).  Its pair product
-    # sum_ij (v_i - v_j)^2 equals 2n * sum_i (v_i - mean)^2, so the row
-    # sums of the one difference matrix are all it needs.
+    # sum_ij (v_i - v_j)^2 is 2n * sum_i (v_i - mean)^2, less the
+    # n * (error)^2 a rounded mean adds (6e-8 near 1e9), so the sorted
+    # row sums of the one difference matrix are all it needs.
+    row_totals = _sorted_row_sums(values)
     centered = values - values.mean()
-    pair_prod = 2.0 * values.size * float(centered @ centered)
-    return RowSums(row_totals, row_totals, pair_prod).bundle()
+    n = values.size
+    pair_prod = 2.0 * n * (float(centered @ centered) - float(centered.sum()) ** 2 / n)
+    total = float(row_totals.sum())
+    return _bundle_from_sums(n, total, total, pair_prod, float(row_totals @ row_totals))
 
 
 def rho_estimates(sample: PairedSample) -> RhoEstimates:
@@ -253,16 +259,14 @@ def rho_estimates(sample: PairedSample) -> RhoEstimates:
     DegenerateMarginal
         If either marginal is constant, making a self-coefficient zero.
     """
-    sums = row_sums(sample)
-    both = sums.bundle()
-    self_x = _self_bundle(sample.xs, sums.a)
-    self_y = _self_bundle(sample.ys, sums.b)
+    both = compute_ustats(sample)
+    self_x, self_y = _self_bundle(sample.xs), _self_bundle(sample.ys)
 
     hat_x, hat_y = kappa_hat(self_x), kappa_hat(self_y)
     tilde_x, tilde_y = kappa_tilde(self_x), kappa_tilde(self_y)
-    # A constant marginal has all-zero row sums; its centered square
-    # sum may still be a rounding residue above zero.
-    constant = not (sums.a.any() and sums.b.any())
+    # A constant marginal has all-zero differences, so u1 or u2 is 0; its
+    # centered square sum may still be a rounding residue above zero.
+    constant = not (both.u1 and both.u2)
     if constant or min(hat_x, hat_y, tilde_x, tilde_y) <= 0.0:
         raise DegenerateMarginal(
             "a marginal is constant; normalized coefficients are undefined"

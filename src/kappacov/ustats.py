@@ -1,4 +1,4 @@
-"""Pairwise and triple absolute-difference averages in O(n^2) time.
+"""Pairwise and triple absolute-difference averages from one sweep.
 
 For a paired sample ``(x_i, y_i)``, ``i = 1..n``, the bundle holds
 
@@ -18,20 +18,21 @@ through the identity::
         = sum_i a_i * b_i  -  sum_(i,j) |x_i - x_j| |y_i - y_j|
 
 where ``a_i`` and ``b_i`` are the full absolute-difference row sums.
-Everything here therefore reduces to two difference matrices, their row
-sums, and one elementwise product.  :func:`differences` is the one place
-a difference matrix is built, and :func:`row_sums` is the one pass over
-both matrices: it visits them in blocks of rows, so peak memory stays
-near ``_BLOCK_ELEMENTS`` floats per matrix at any ``n``, and on request
-it also collects the row-level sums the plug-in variance needs.
+Every bundle therefore needs four sums: those of ``a`` and ``b``, the
+pair sum of ``|dx| * |dy|`` and the cross sum ``a @ b``.  Permuting
+``y`` moves only the last two, so one sweep serves one sample and any
+array of permutations of ``y`` alike: :func:`compute_ustats` is its
+identity row, and :func:`permutation_bundles` runs it over all rows in
+chunks of bounded size.  Below ``_SORT_MIN_N`` observations the pair
+sums come from one gather of the precomputed y table per chunk; from
+there on an O(n log n) merge-sort kernel computes them, and one sort
+per coordinate gives the row sums, without any n^2 table or pass.
 
-Permuting ``y`` moves only the pair sum of ``|dx| * |dy|`` and the
-cross sum ``a @ b``: :func:`permutation_bundles` computes both for a
-whole array of permutations in chunks of bounded size.  Below
-``_SORT_MIN_N`` observations the pair sums come from one gather of the
-precomputed y table per chunk; from there on an O(n log n) merge-sort
-kernel computes them, and one sort per coordinate gives the row sums,
-without any n^2 table or pass.
+Only the plug-in variance needs row-level sums that no sort gives here:
+:func:`row_sums` collects them in one O(n^2) pass that visits both
+difference matrices in blocks of rows, so peak memory stays near
+``_BLOCK_ELEMENTS`` floats per matrix at any ``n``.  :func:`differences`
+is the one place a difference matrix is built.
 """
 
 from __future__ import annotations
@@ -61,14 +62,18 @@ __all__ = [
 # this many floats each; up to n = 1000 one block covers the whole matrix.
 _BLOCK_ELEMENTS = 1_000_000
 
-# permutation_bundles switches from the table gather to the sort kernel at
-# this sample size: on a 2-vCPU x86 box with numpy 2.4, at B = 199 and 999,
+# The sweep switches from the table gather to the sort kernel at this
+# sample size: on a 2-vCPU x86 box with numpy 2.4, at B = 199 and 999,
 # the gather was the faster below it and the sort kernel from it on, except
 # just above 128, where the sort kernel pads each row to 256.
 _SORT_MIN_N = 108
-# Each chunk of permutations in permutation_bundles spans about this many
-# entries per working array: c * n**2 for the gather, c * 2**ceil(log2 n)
-# for the sort kernel.
+# Each chunk of permutations in the sweep spans about this many entries
+# per working array of the gather, c * n**2.  The sort kernel counts a
+# permutation as four padded widths, so its working arrays, made afresh
+# at every merge level, stay near 64 KiB, below the 128 KiB from which
+# glibc's malloc maps and unmaps memory per block by default: a perm_test
+# op (n = 500, B = 999) took about 10k minor page faults at 2**15 entries
+# per array, 550 at 2**14 and 0 at 2**13, at equal speed within noise.
 _SWEEP_ELEMENTS = 1 << 15
 
 
@@ -121,37 +126,23 @@ def differences(values: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RowSums:
-    """Row-level sums of the two absolute-difference matrices ``dx, dy``.
+    """Row-level sums of the two absolute-difference matrices ``dx, dy``
+    that the plug-in variance needs.
 
-    ``a`` and ``b`` are the row sums of ``dx`` and ``dy`` and
-    ``pair_prod`` is the sum of ``dx * dy`` over all ordered pairs.  The
-    fields the plug-in variance needs are ``None`` unless requested:
-    ``pair_rows`` holds the row sums of ``dx * dy``, ``cond_x`` is
-    ``dx @ b`` and ``cond_y`` is ``dy @ a``.
+    ``a`` and ``b`` are the row sums of ``dx`` and ``dy``, ``pair_rows``
+    the row sums of ``dx * dy``, ``cond_x`` is ``dx @ b`` and ``cond_y``
+    is ``dy @ a``.
     """
 
     a: np.ndarray
     b: np.ndarray
-    pair_prod: float
-    pair_rows: np.ndarray | None = None
-    cond_x: np.ndarray | None = None
-    cond_y: np.ndarray | None = None
-
-    @property
-    def n(self) -> int:
-        return self.a.size
-
-    def bundle(self) -> UStatBundle:
-        a, b = self.a, self.b
-        return _bundle_from_sums(self.n, float(a.sum()), float(b.sum()), self.pair_prod, float(a @ b))
+    pair_rows: np.ndarray
+    cond_x: np.ndarray
+    cond_y: np.ndarray
 
 
-def row_sums(sample: PairedSample, with_variance: bool = False) -> RowSums:
-    """One blocked pass over both difference matrices.
-
-    ``with_variance`` also fills the fields of :class:`RowSums` that the
-    plug-in variance needs; they cost one more reduction and two
-    vector-matrix products per block.
+def row_sums(sample: PairedSample) -> RowSums:
+    """One blocked O(n^2) pass over both difference matrices.
 
     Raises
     ------
@@ -163,12 +154,8 @@ def row_sums(sample: PairedSample, with_variance: bool = False) -> RowSums:
     if n < 3:
         raise SampleTooSmall(f"need at least 3 observations, got {n}")
     x, y = sample.xs, sample.ys
-    a = np.empty(n)
-    b = np.empty(n)
-    pair_prod = 0.0
-    pair_rows = cond_x = cond_y = None
-    if with_variance:
-        pair_rows, cond_x, cond_y = np.empty(n), np.zeros(n), np.zeros(n)
+    a, b, pair_rows = np.empty(n), np.empty(n), np.empty(n)
+    cond_x, cond_y = np.zeros(n), np.zeros(n)
     block = max(1, _BLOCK_ELEMENTS // n)
     for start in range(0, n, block):
         rows = slice(start, start + block)
@@ -176,19 +163,18 @@ def row_sums(sample: PairedSample, with_variance: bool = False) -> RowSums:
         dy = differences(y, rows)
         a[rows] = dx.sum(axis=1)
         b[rows] = dy.sum(axis=1)
-        product = dx * dy
-        pair_prod += float(product.sum())
-        if with_variance:
-            pair_rows[rows] = product.sum(axis=1)
-            # Both matrices are symmetric, so the block's rows are also
-            # its columns' contributions to dx @ b and dy @ a.
-            cond_x += b[rows] @ dx
-            cond_y += a[rows] @ dy
-    return RowSums(a, b, pair_prod, pair_rows, cond_x, cond_y)
+        pair_rows[rows] = (dx * dy).sum(axis=1)
+        # Both matrices are symmetric, so the block's rows are also its
+        # columns' contributions to dx @ b and dy @ a.
+        cond_x += b[rows] @ dx
+        cond_y += a[rows] @ dy
+    return RowSums(a, b, pair_rows, cond_x, cond_y)
 
 
 def compute_ustats(sample: PairedSample) -> UStatBundle:
-    """Compute the full bundle in O(n^2) time and O(n) memory.
+    """Compute the full bundle as the identity row of the permutation
+    sweep: O(n log n) time and O(n) memory from ``_SORT_MIN_N``
+    observations on, one n^2 table gather below.
 
     Parameters
     ----------
@@ -200,7 +186,8 @@ def compute_ustats(sample: PairedSample) -> UStatBundle:
     SampleTooSmall
         If ``sample.n < 3``.
     """
-    return row_sums(sample).bundle()
+    sum_x, sum_y, pair_prod, cross = _sweep(sample, np.arange(sample.n)[None, :])
+    return _bundle_from_sums(sample.n, sum_x, sum_y, float(pair_prod[0]), float(cross[0]))
 
 
 def _symmetrized_triple(xi, xj, xk, yi, yj, yk) -> float:
@@ -348,8 +335,8 @@ def _gather_kernel(tables: PairwiseTables):
 
 
 def _sort_kernel(sample: PairedSample, b: np.ndarray):
-    """Entries per permutation, and the pair sums of a chunk of
-    permutations in O(n log n) each.
+    """Entries a permutation counts against ``_SWEEP_ELEMENTS``, and the
+    pair sums of a chunk of permutations in O(n log n) each.
 
     With ``x`` in ascending order and ``w_j`` the permuted ``y`` paired
     with ``x_j``, ``sum_{i<j} |x_i - x_j| |w_i - w_j|`` is
@@ -361,12 +348,13 @@ def _sort_kernel(sample: PairedSample, b: np.ndarray):
     each row gives the last term: at every level a right-half element's
     merged position says how many left-half values sort before it, and a
     cumulative sum of the left-half values gives their total.  Both
-    coordinates are centered first, so offsets near 1e9 do not cancel.
+    coordinates are centered on their medians first, so offsets near 1e9
+    do not cancel and a constant column is exactly 0, as no mean is.
     """
     n = sample.n
     order = np.argsort(sample.xs, kind="stable")
-    x = sample.xs[order] - sample.xs.mean()
-    y = sample.ys - sample.ys.mean()
+    x = sample.xs[order] - np.median(sample.xs)
+    y = sample.ys - np.median(sample.ys)
     width = 1 << (n - 1).bit_length()
     ramp = np.arange(1, n + 1)
 
@@ -398,7 +386,7 @@ def _sort_kernel(sample: PairedSample, b: np.ndarray):
         # Ordered pairs: twice sum_j x_j (2 L_j - B_j).
         return 4.0 * earlier + 8.0 * below - 2.0 * (b[perms] @ x)
 
-    return width, pair_sums
+    return 4 * width, pair_sums
 
 
 def _sorted_row_sums(values: np.ndarray) -> np.ndarray:
@@ -421,24 +409,9 @@ def _sorted_row_sums(values: np.ndarray) -> np.ndarray:
     return sums
 
 
-def permutation_bundles(sample: PairedSample, perms: np.ndarray) -> UStatBundle:
-    """Bundles of ``(xs, ys[perm])`` for every row ``perm`` of ``perms``.
-
-    ``perms`` is a ``(B, n)`` integer array of permutations of
-    ``range(n)``.  Returns one :class:`UStatBundle` in which the fields
-    that a permutation moves, ``u12``, ``u3``, ``v12`` and ``v3``, are
-    length-``B`` arrays, so the estimator formulas apply to it unchanged.
-    The pair sums come from the table gather below ``_SORT_MIN_N``
-    observations and from the sort kernel from there on, where the row
-    sums ``a`` and ``b`` also come from a sort; the cross sums are
-    ``b[perm] @ a``.  Permutations are swept in chunks of about
-    ``_SWEEP_ELEMENTS`` entries per working array.
-
-    Raises
-    ------
-    SampleTooSmall
-        If ``sample.n < 3``.
-    """
+def _sweep(sample: PairedSample, perms: np.ndarray) -> tuple:
+    """The sums of ``a`` and ``b``, and the pair and cross sums of
+    ``(xs, ys[perm])`` for every row ``perm`` of ``perms``."""
     if sample.n < 3:
         raise SampleTooSmall(f"need at least 3 observations, got {sample.n}")
     if sample.n < _SORT_MIN_N:
@@ -455,4 +428,25 @@ def permutation_bundles(sample: PairedSample, perms: np.ndarray) -> UStatBundle:
         chunk = perms[start : start + step].astype(np.intp)
         pair_prod[start : start + step] = pair_sums(chunk)
         cross[start : start + step] = b[chunk] @ a
-    return _bundle_from_sums(sample.n, float(a.sum()), float(b.sum()), pair_prod, cross)
+    return float(a.sum()), float(b.sum()), pair_prod, cross
+
+
+def permutation_bundles(sample: PairedSample, perms: np.ndarray) -> UStatBundle:
+    """Bundles of ``(xs, ys[perm])`` for every row ``perm`` of ``perms``.
+
+    ``perms`` is a ``(B, n)`` integer array of permutations of
+    ``range(n)``.  Returns one :class:`UStatBundle` in which the fields
+    that a permutation moves, ``u12``, ``u3``, ``v12`` and ``v3``, are
+    length-``B`` arrays, so the estimator formulas apply to it unchanged.
+    The pair sums come from the table gather below ``_SORT_MIN_N``
+    observations and from the sort kernel from there on, where the row
+    sums ``a`` and ``b`` also come from a sort; the cross sums are
+    ``b[perm] @ a``.  Permutations are swept in chunks of bounded size
+    (``_SWEEP_ELEMENTS``).
+
+    Raises
+    ------
+    SampleTooSmall
+        If ``sample.n < 3``.
+    """
+    return _bundle_from_sums(sample.n, *_sweep(sample, perms))

@@ -2,6 +2,9 @@
 plug-in asymptotic variance."""
 
 import math
+import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from kappacov.estimators import (
     kappa_trio,
     statistic_scale,
 )
+from kappacov.ustats import compute_ustats_bruteforce
 from kappacov import ustats
 from conftest import random_paired_sample, random_spec, rel_err
 
@@ -73,7 +77,8 @@ def test_relations_match_direct_definitions(rng):
 def test_input_scale_property(data):
     # Scale factors 10^k, k in [-100, 100], move every statistic by |c d|
     # without overflow, underflow or loss; an offset of up to 1e9 times
-    # the scale is then added so that subtracting it again is exact.
+    # the scale is then added so that subtracting it again is exact.  Each
+    # example forces one kernel of the sweep.
     n = data.draw(st.integers(3, 24), label="n")
     untied = st.integers(-50_000, 50_000).map(lambda v: v / 1000.0)
     tied = st.integers(0, 2).map(float)
@@ -87,22 +92,36 @@ def test_input_scale_property(data):
         * 10.0 ** data.draw(st.integers(-100, 100), label="k")
         for _ in range(2)
     )
-    scaled = PairedSample(c * base.xs, d * base.ys)
-    bound = 1e-12 * statistic_scale(scaled)
-    for estimator in (kappa_star, kappa_tilde, kappa_hat):
-        assert abs(estimator(scaled) - abs(c * d) * estimator(base)) <= bound, estimator
-
     offset = data.draw(st.sampled_from([0.0, 1e3, 1e9, -1e9]), label="offset")
-    shift_x, shift_y = offset * c, offset * d
-    shifted = PairedSample(scaled.xs + shift_x, scaled.ys + shift_y)
-    back = PairedSample(shifted.xs - shift_x, shifted.ys - shift_y)
-    bound = 1e-12 * statistic_scale(shifted)
-    for estimator in (kappa_star, kappa_tilde, kappa_hat):
-        assert abs(estimator(shifted) - estimator(back)) <= bound, estimator
-    bundle = compute_ustats(shifted)
-    assert abs(kappa_tilde(bundle) - kappa_tilde_direct(shifted)) <= bound
-    assert abs(kappa_hat(bundle) - kappa_hat_direct(shifted)) <= bound
-    assert abs(kappa_hat(bundle) - kappa_hat_relation(bundle)) <= bound
+    cut = data.draw(st.sampled_from([0, 10**9]), label="_SORT_MIN_N")
+    with mock.patch.object(ustats, "_SORT_MIN_N", cut):
+        scaled = PairedSample(c * base.xs, d * base.ys)
+        bound = 1e-12 * statistic_scale(scaled)
+        for estimator in (kappa_star, kappa_tilde, kappa_hat):
+            assert abs(estimator(scaled) - abs(c * d) * estimator(base)) <= bound, estimator
+
+        shift_x, shift_y = offset * c, offset * d
+        shifted = PairedSample(scaled.xs + shift_x, scaled.ys + shift_y)
+        back = PairedSample(shifted.xs - shift_x, shifted.ys - shift_y)
+        bound = 1e-12 * statistic_scale(shifted)
+        for estimator in (kappa_star, kappa_tilde, kappa_hat):
+            assert abs(estimator(shifted) - estimator(back)) <= bound, estimator
+        bundle = compute_ustats(shifted)
+        slow = kappa_trio(compute_ustats_bruteforce(shifted))
+        assert np.abs(np.subtract(kappa_trio(bundle), slow)).max() <= bound
+        assert abs(kappa_tilde(bundle) - kappa_tilde_direct(shifted)) <= bound
+        assert abs(kappa_hat(bundle) - kappa_hat_direct(shifted)) <= bound
+        assert abs(kappa_hat(bundle) - kappa_hat_relation(bundle)) <= bound
+
+        # rho is scale free; it is checked at the unit scale, offset.
+        moved = PairedSample(base.xs + offset, base.ys - offset)
+        if np.ptp(base.xs) == 0.0 or np.ptp(base.ys) == 0.0:
+            with pytest.raises(DegenerateMarginal):
+                rho_estimates(moved)
+        else:
+            rho = rho_estimates(moved)
+            oracle = _rho_by_three_bundles(moved)
+            assert np.abs(np.subtract((rho.rho_hat, rho.rho_tilde), oracle)).max() <= 1e-12
 
 
 def test_kappa_hat_is_nonnegative(rng):
@@ -184,8 +203,10 @@ def test_blocked_sweep_variance_and_rho(rng, monkeypatch, ties, block_elements):
 
 
 def test_one_sweep_per_call(rng, monkeypatch):
-    # n = 40 in blocks of 10 rows: each call builds each matrix's four
-    # blocks once, with or without the variance sums.
+    # n = 40 in blocks of 10 rows.  Only the plug-in variance makes the
+    # blocked pass, building each matrix's four blocks once.  Every kappa
+    # comes from the sweep, which builds the gather's two full tables below
+    # _SORT_MIN_N and no difference matrix from there on.
     monkeypatch.setattr(ustats, "_BLOCK_ELEMENTS", 400)
     built = []
     original = ustats.differences
@@ -196,11 +217,32 @@ def test_one_sweep_per_call(rng, monkeypatch):
 
     monkeypatch.setattr(ustats, "differences", counting)
     sample = random_paired_sample(rng, 40)
-    for call in (lambda: estimate(sample, with_variance=True), lambda: rho_estimates(sample)):
+    blocks = [(0, 10), (10, 20), (20, 30), (30, 40)]
+    for cut, tables in ((0, 0), (10**9, 2)):
+        monkeypatch.setattr(ustats, "_SORT_MIN_N", cut)
         built.clear()
-        call()
-        assert len(built) == 2 * 4
-        assert sorted({(rows.start, rows.stop) for rows in built}) == [(0, 10), (10, 20), (20, 30), (30, 40)]
+        estimate(sample, with_variance=True)
+        assert len(built) == 2 * len(blocks) + tables, cut
+        assert sorted({(rows.start, rows.stop) for rows in built if rows != slice(None)}) == blocks
+        built.clear()
+        rho_estimates(sample)
+        assert built == [slice(None)] * tables, cut
+
+
+def test_large_sample_statistics_stay_fast_and_small():
+    # n = 2e5, where an O(n^2) pass takes minutes.
+    sample = sample_family(FamilySpec("normal", 0.3), 200_000, SeedSpec(5))
+    for call in (compute_ustats, estimate, rho_estimates):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            call(sample)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 10.0, (call.__name__, elapsed)
+        assert peak < 64e6, (call.__name__, peak)
 
 
 def test_delta1_plugin_positive_under_dependence():

@@ -1,8 +1,9 @@
 """Distinct-tuple and with-replacement pairwise means.
 
-The fast O(n^2) reduction is checked against the literal enumeration
-over index tuples, and the with-replacement means against their exact
-combinatorial identities to the distinct-tuple ones.
+The sweep, with either of its kernels, is checked against the literal
+enumeration over index tuples, the plug-in variance's blocked row sums
+against loops over index pairs, and the with-replacement means against
+their exact combinatorial identities to the distinct-tuple ones.
 """
 
 import math
@@ -30,6 +31,11 @@ from conftest import random_paired_sample, rel_err
 FIELDS = ("u1", "u2", "u12", "u3", "v1", "v2", "v12", "v3")
 
 HAND_SAMPLE = PairedSample(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0]))
+
+# Sizes at, next to and between the powers of two the sort kernel pads to.
+SWEEP_SIZES = (3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33)
+# _SORT_MIN_N values forcing the sort kernel and the table gather.
+KERNELS = {"sort": 0, "gather": 10**9}
 
 
 def test_hand_enumerated_values():
@@ -66,14 +72,34 @@ def test_fast_matches_bruteforce_on_random_samples(rng, ties):
 @pytest.mark.parametrize("block_elements", [1, 100])
 @pytest.mark.parametrize("ties", [False, True])
 def test_blocked_sweep_matches_bruteforce(rng, monkeypatch, ties, block_elements):
-    # 1-row blocks, and blocks of 1 to 33 rows for n = 3..64.
+    # The row sums of the plug-in variance in 1-row blocks, and in blocks
+    # of 1 to 33 rows for n = 3..64, against loops over index pairs; the
+    # sort-based row sums of the sweep against the same loops.
     monkeypatch.setattr(ustats, "_BLOCK_ELEMENTS", block_elements)
     for n in (3, 4, 7, 64, *rng.integers(8, 64, size=4)):
         sample = random_paired_sample(rng, int(n), ties=ties)
-        fast = compute_ustats(sample)
-        slow = compute_ustats_bruteforce(sample)
-        for field in FIELDS:
-            assert rel_err(getattr(fast, field), getattr(slow, field)) <= 1e-12, (n, field)
+        sums = ustats.row_sums(sample)
+        x, y = sample.xs.tolist(), sample.ys.tolist()
+        dx = [[abs(p - q) for q in x] for p in x]
+        dy = [[abs(p - q) for q in y] for p in y]
+        a = [math.fsum(row) for row in dx]
+        b = [math.fsum(row) for row in dy]
+        loops = {
+            "a": a,
+            "b": b,
+            "pair_rows": [math.fsum(map(float.__mul__, rx, ry)) for rx, ry in zip(dx, dy)],
+            "cond_x": [math.fsum(map(float.__mul__, row, b)) for row in dx],
+            "cond_y": [math.fsum(map(float.__mul__, row, a)) for row in dy],
+        }
+        sorted_sums = {
+            "a": ustats._sorted_row_sums(sample.xs),
+            "b": ustats._sorted_row_sums(sample.ys),
+        }
+        for field, want in loops.items():
+            bound = 1e-12 * max(want)
+            assert np.abs(getattr(sums, field) - want).max() <= bound, (n, field)
+            if field in sorted_sums:
+                assert np.abs(sorted_sums[field] - want).max() <= bound, (n, field)
 
 
 def test_differences_rows(rng):
@@ -158,24 +184,28 @@ def test_bundle_for_permutation_matches_permuted_sample(rng):
         assert rel_err(getattr(permuted, field), getattr(shuffled, field)) <= 1e-12
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(st.floats(-50, 50), min_size=3, max_size=8),
-    st.lists(st.floats(-50, 50), min_size=8, max_size=8),
-)
-def test_fast_route_is_exact_property(xs, ys):
-    sample = PairedSample(np.array(xs), np.array(ys[: len(xs)]))
-    fast = compute_ustats(sample)
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_fast_route_is_exact_property(data):
+    # Either kernel of the sweep, forced, on tied and untied columns and at
+    # offsets near 1e9, which cancel if the kernel does not center.
+    n = data.draw(st.integers(3, 12), label="n")
+    values = data.draw(
+        st.sampled_from([st.floats(-50, 50), st.integers(0, 2).map(float)]), label="values"
+    )
+    offset = data.draw(st.sampled_from([0.0, 1e9, -1e9]), label="offset")
+    xs = np.array(data.draw(st.lists(values, min_size=n, max_size=n), label="xs")) + offset
+    ys = np.array(data.draw(st.lists(values, min_size=n, max_size=n), label="ys")) - offset
+    sample = PairedSample(xs, ys)
+    kernel = data.draw(st.sampled_from(sorted(KERNELS)), label="kernel")
+    with mock.patch.object(ustats, "_SORT_MIN_N", KERNELS[kernel]):
+        fast = compute_ustats(sample)
     slow = compute_ustats_bruteforce(sample)
-    for field in ("u1", "u2", "u12", "u3", "v3"):
+    for field in FIELDS:
         a, b = getattr(fast, field), getattr(slow, field)
-        assert abs(a - b) <= 1e-10 * max(1.0, abs(a), abs(b))
-
-
-# Sizes at, next to and between the powers of two the sort kernel pads to.
-SWEEP_SIZES = (3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33)
-# _SORT_MIN_N values forcing the sort kernel and the table gather.
-KERNELS = {"sort": 0, "gather": 10**9}
+        assert abs(a - b) <= 1e-10 * max(1.0, abs(a), abs(b)), field
+    bound = 1e-12 * statistic_scale(slow)
+    assert np.abs(np.subtract(kappa_trio(fast), kappa_trio(slow))).max() <= bound
 
 
 @settings(max_examples=80, deadline=None)
