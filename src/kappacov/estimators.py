@@ -32,8 +32,8 @@ import numpy as np
 
 from .core import PairedSample
 from .errors import DegenerateMarginal, SampleTooSmall
-from .ustats import RowSums, UStatBundle, compute_ustats, differences, row_sums
-from .ustats import _bundle_from_sums, _sorted_row_sums
+from .ustats import UStatBundle, compute_ustats, differences
+from .ustats import _bundle_from_sums, _pair_row_sums, _sorted_row_sums
 
 __all__ = [
     "KappaEstimates",
@@ -201,16 +201,15 @@ def delta1_plugin(sample: PairedSample) -> float:
     Variance is taken with denominator ``n``.  All three kappa
     estimators share this limit, so one value serves for them all; it is
     the ``delta1_hat`` of :func:`estimate` with ``with_variance=True``.
-    The row-level sums it needs cost one blocked O(n^2) pass
-    (:func:`~kappacov.ustats.row_sums`).
+    Its row-level sums come from sorts: O(n log n) time, O(n) memory.
     """
-    return _delta1_from_sums(row_sums(sample))
-
-
-def _delta1_from_sums(sums: RowSums) -> float:
-    n = sums.a.size
-    g1, g2, g12 = sums.a / n, sums.b / n, sums.pair_rows / n
-    cond_x, cond_y = sums.cond_x / n / n, sums.cond_y / n / n
+    n = sample.n
+    if n < 3:
+        raise SampleTooSmall(f"need at least 3 observations, got {n}")
+    a, b = _sorted_row_sums(sample.xs), _sorted_row_sums(sample.ys)
+    g1, g2, g12 = a / n, b / n, _pair_row_sums(sample) / n
+    cond_x = _sorted_row_sums(sample.xs, b) / n / n
+    cond_y = _sorted_row_sums(sample.ys, a) / n / n
     projection = g12 + g1.mean() * g2 + g2.mean() * g1 - cond_x - cond_y - g1 * g2
     return 0.25 * float(projection.var())
 
@@ -272,6 +271,7 @@ def rho_estimates(sample: PairedSample) -> RhoEstimates:
             "a marginal is constant; normalized coefficients are undefined"
         )
 
-    rho_hat = _clip_rho(kappa_hat(both) / math.sqrt(hat_x * hat_y), 0.0)
-    rho_tilde = _clip_rho(kappa_tilde(both) / math.sqrt(tilde_x * tilde_y), -1.0)
+    # One root per factor: the self-coefficients' product under- or overflows near 1e+-80.
+    rho_hat = _clip_rho(kappa_hat(both) / (math.sqrt(hat_x) * math.sqrt(hat_y)), 0.0)
+    rho_tilde = _clip_rho(kappa_tilde(both) / (math.sqrt(tilde_x) * math.sqrt(tilde_y)), -1.0)
     return RhoEstimates(rho_hat=rho_hat, rho_tilde=rho_tilde, n=sample.n)

@@ -28,11 +28,10 @@ sums come from one gather of the precomputed y table per chunk; from
 there on an O(n log n) merge-sort kernel computes them, and one sort
 per coordinate gives the row sums, without any n^2 table or pass.
 
-Only the plug-in variance needs row-level sums that no sort gives here:
-:func:`row_sums` collects them in one O(n^2) pass that visits both
-difference matrices in blocks of rows, so peak memory stays near
-``_BLOCK_ELEMENTS`` floats per matrix at any ``n``.  :func:`differences`
-is the one place a difference matrix is built.
+The plug-in variance takes its row-level sums from sorts as well:
+:func:`_sorted_row_sums` gives ``a``, ``b``, ``dx @ b`` and ``dy @ a``, and
+:func:`_pair_row_sums` those of ``|dx| * |dy|``.  :func:`differences` is
+the one place a difference matrix is built.
 """
 
 from __future__ import annotations
@@ -47,20 +46,14 @@ from .errors import SampleTooSmall
 
 __all__ = [
     "UStatBundle",
-    "RowSums",
     "PairwiseTables",
     "differences",
-    "row_sums",
     "compute_ustats",
     "compute_ustats_bruteforce",
     "pairwise_tables",
     "bundle_for_permutation",
     "permutation_bundles",
 ]
-
-# row_sums builds the difference matrices in blocks of rows holding about
-# this many floats each; up to n = 1000 one block covers the whole matrix.
-_BLOCK_ELEMENTS = 1_000_000
 
 # The sweep switches from the table gather to the sort kernel at this
 # sample size: on a 2-vCPU x86 box with numpy 2.4, at B = 199 and 999,
@@ -119,56 +112,9 @@ def _bundle_from_sums(
     )
 
 
-def differences(values: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
-    """``|values[i] - values[j]|`` for ``i`` in ``rows`` and every ``j``."""
-    return np.abs(values[rows][:, None] - values[None, :])
-
-
-@dataclass(frozen=True, eq=False)
-class RowSums:
-    """Row-level sums of the two absolute-difference matrices ``dx, dy``
-    that the plug-in variance needs.
-
-    ``a`` and ``b`` are the row sums of ``dx`` and ``dy``, ``pair_rows``
-    the row sums of ``dx * dy``, ``cond_x`` is ``dx @ b`` and ``cond_y``
-    is ``dy @ a``.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    pair_rows: np.ndarray
-    cond_x: np.ndarray
-    cond_y: np.ndarray
-
-
-def row_sums(sample: PairedSample) -> RowSums:
-    """One blocked O(n^2) pass over both difference matrices.
-
-    Raises
-    ------
-    SampleTooSmall
-        If ``sample.n < 3`` (the triple mean needs three distinct
-        indices).
-    """
-    n = sample.n
-    if n < 3:
-        raise SampleTooSmall(f"need at least 3 observations, got {n}")
-    x, y = sample.xs, sample.ys
-    a, b, pair_rows = np.empty(n), np.empty(n), np.empty(n)
-    cond_x, cond_y = np.zeros(n), np.zeros(n)
-    block = max(1, _BLOCK_ELEMENTS // n)
-    for start in range(0, n, block):
-        rows = slice(start, start + block)
-        dx = differences(x, rows)
-        dy = differences(y, rows)
-        a[rows] = dx.sum(axis=1)
-        b[rows] = dy.sum(axis=1)
-        pair_rows[rows] = (dx * dy).sum(axis=1)
-        # Both matrices are symmetric, so the block's rows are also its
-        # columns' contributions to dx @ b and dy @ a.
-        cond_x += b[rows] @ dx
-        cond_y += a[rows] @ dy
-    return RowSums(a, b, pair_rows, cond_x, cond_y)
+def differences(values: np.ndarray) -> np.ndarray:
+    """``|values[i] - values[j]|`` for every ``i`` and ``j``."""
+    return np.abs(values[:, None] - values[None, :])
 
 
 def compute_ustats(sample: PairedSample) -> UStatBundle:
@@ -389,24 +335,70 @@ def _sort_kernel(sample: PairedSample, b: np.ndarray):
     return 4 * width, pair_sums
 
 
-def _sorted_row_sums(values: np.ndarray) -> np.ndarray:
-    """Row sums ``sum_j |v_i - v_j|`` in O(n log n), without a matrix.
+def _sorted_row_sums(values: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """Row sums ``sum_j w_j |v_i - v_j|``, unit ``w`` by default, in O(n log n).
 
-    With the values in ascending order and ``g_m`` the step from the
-    (m-1)-th to the m-th, the row sum at sorted position ``k`` is
-    ``sum_{m <= k} m g_m + sum_{m > k} (n - m) g_m``.  Both cumulative
+    With the values in ascending order, ``g_m`` the step from the (m-1)-th
+    to the m-th and ``W_m`` the part of the total weight ``W`` below it
+    (``m`` for unit weights), the row sum at sorted position ``k`` is
+    ``sum_{m <= k} W_m g_m + sum_{m > k} (W - W_m) g_m``.  Both cumulative
     sums add nonnegative terms, and a tie adds an exact 0, so neither
     offsets near 1e9 nor long runs of ties cancel.
     """
-    n = values.size
     order = np.argsort(values, kind="stable")
-    steps = np.diff(values[order])
-    m = np.arange(1, n)
-    below = np.cumsum(m * steps)
-    above = np.cumsum(((n - m) * steps)[::-1])[::-1]
-    sums = np.empty(n)
-    sums[order] = np.concatenate(([0.0], below)) + np.concatenate((above, [0.0]))
+    ranked = values[order]
+    steps = ranked[1:] - ranked[:-1]
+    below_w = np.arange(1, values.size) if weights is None else weights[order].cumsum()[:-1]
+    above_w = below_w[::-1] if weights is None else weights[order][:0:-1].cumsum()[::-1]
+    ranked_sums, sums = np.zeros_like(ranked), np.empty_like(ranked)
+    ranked_sums[1:] = (below_w * steps).cumsum()
+    ranked_sums[:-1] += (above_w * steps)[::-1].cumsum()[::-1]
+    sums[order] = ranked_sums
     return sums
+
+
+def _pair_row_sums(sample: PairedSample) -> np.ndarray:
+    """Row sums ``sum_j |x_i - x_j| |y_i - y_j|`` in O(n log n).
+
+    With ``d_j = (x_i - x_j) (y_i - y_j)``, a row sum is twice the sum of
+    the positive ``d_j`` less the sum of all, which needs only totals.  In
+    ``x`` order, an earlier partner's ``d_j`` is positive when its ``y``
+    sorts before ``y_i`` in the left half of ``i``'s block at one level of
+    a merge sort of ``y``.  Negating and reversing both coordinates, as a
+    second row, makes the later partners earlier.  As in
+    :func:`_sort_kernel`, both are centered on their medians first.
+    """
+    n = sample.n
+    order = np.argsort(sample.xs, kind="stable")
+    x = sample.xs - np.median(sample.xs)
+    y = sample.ys - np.median(sample.ys)
+    every = n * x * y - x * y.sum() - y * x.sum() + (x * y).sum()
+    x, y = x[order], y[order]
+    # The padding comes after every real position, so it is never the left
+    # partner of a real entry; what it collects falls beyond position n.
+    rows, width = 2, 1 << (n - 1).bit_length()
+    w, v = np.zeros((rows, width)), np.zeros((rows, width))
+    w[:, :n], v[:, :n] = (y, -y[::-1]), (x, -x[::-1])
+    positive = np.zeros(rows * width)
+    position = np.arange(rows * width).reshape(rows, width)
+    half = 1
+    while half < width:
+        idx = np.argsort(w.reshape(-1, 2 * half), axis=1, kind="stable")
+        flat = (idx + np.arange(0, w.size, 2 * half)[:, None]).ravel()
+        w, v, position = (a.ravel().take(flat).reshape(rows, width) for a in (w, v, position))
+        right = (idx >= half).reshape(rows, width)
+        count = (np.arange(half, 3 * half) - idx).reshape(rows, width)
+        v_left, w_left = v * ~right, w * ~right
+        sx, sy, sxy = (
+            np.cumsum(q.reshape(-1, 2 * half), axis=1).reshape(rows, width)
+            for q in (v_left, w_left, v_left * w)
+        )
+        positive[position] += right * (v * (count * w - sy) - (w * sx - sxy))
+        half *= 2
+    positive = positive.reshape(rows, width)[:, :n]
+    sums = np.empty(n)
+    sums[order] = 2.0 * (positive[0] + positive[1, ::-1])
+    return sums - every
 
 
 def _sweep(sample: PairedSample, perms: np.ndarray) -> tuple:

@@ -151,6 +151,16 @@ def test_module_entry_point(capsys):
     assert child.stdout == expected
 
 
+def test_cli_import_leaves_out_scipy_stats():
+    import kappacov
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kappacov.__file__)))
+    code = "import sys, kappacov.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[]\n"
+
+
 def test_eigen_analytic_marginal(capsys):
     code, out, _ = invoke(capsys, ["eigen", "--marginal", "uniform", "--t", "60", "--k", "5"])
     assert code == 0

@@ -99,6 +99,15 @@ def test_input_scale_property(data):
         bound = 1e-12 * statistic_scale(scaled)
         for estimator in (kappa_star, kappa_tilde, kappa_hat):
             assert abs(estimator(scaled) - abs(c * d) * estimator(base)) <= bound, estimator
+        try:
+            rho = rho_estimates(base)
+        except DegenerateMarginal:
+            with pytest.raises(DegenerateMarginal):
+                rho_estimates(scaled)
+        else:
+            scaled_rho = rho_estimates(scaled)
+            assert abs(scaled_rho.rho_hat - rho.rho_hat) <= 1e-12
+            assert abs(scaled_rho.rho_tilde - rho.rho_tilde) <= 1e-12
 
         shift_x, shift_y = offset * c, offset * d
         shifted = PairedSample(scaled.xs + shift_x, scaled.ys + shift_y)
@@ -169,6 +178,25 @@ def _delta1_by_loops(sample: PairedSample) -> float:
     return 0.25 * float(np.mean((proj - proj.mean()) ** 2))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_delta1_plugin_property(data):
+    # The sort-based row sums against the literal projection, on tied and
+    # untied columns, at offsets that the median centering must absorb.
+    n = data.draw(st.integers(3, 24), label="n")
+    untied = st.integers(-50_000, 50_000).map(lambda v: v / 1000.0)
+    tied = st.integers(0, 2).map(float)
+    offset = data.draw(st.sampled_from([0.0, 1e9, -1e9]), label="offset")
+    columns = []
+    for name in ("x", "y"):
+        values = data.draw(st.sampled_from([untied, tied]), label=f"{name} values")
+        column = np.array(data.draw(st.lists(values, min_size=n, max_size=n), label=name))
+        columns.append(column + offset)
+    sample = PairedSample(*columns)
+    bound = 1e-12 * statistic_scale(sample) ** 2
+    assert abs(delta1_plugin(sample) - _delta1_by_loops(sample)) <= bound
+
+
 def test_delta1_plugin_matches_loop_oracle(rng):
     for _ in range(8):
         sample = random_paired_sample(rng, int(rng.integers(5, 25)))
@@ -186,13 +214,14 @@ def _rho_by_three_bundles(sample: PairedSample) -> tuple[float, float]:
     )
 
 
-@pytest.mark.parametrize("block_elements", [1, 100])
+@pytest.mark.parametrize("scale", [1, 100])
 @pytest.mark.parametrize("ties", [False, True])
-def test_blocked_sweep_variance_and_rho(rng, monkeypatch, ties, block_elements):
-    # 1-row blocks, and blocks of 1 to 33 rows for n = 3..64.
-    monkeypatch.setattr(ustats, "_BLOCK_ELEMENTS", block_elements)
+def test_blocked_sweep_variance_and_rho(rng, ties, scale):
+    # The sort-based plug-in variance and rho against their oracles, on
+    # unit-scale and on scaled samples.
     for n in (3, 4, 7, 64, *rng.integers(8, 64, size=4)):
-        sample = random_paired_sample(rng, int(n), ties=ties)
+        base = random_paired_sample(rng, int(n), ties=ties)
+        sample = PairedSample(scale * base.xs, scale * base.ys)
         values = estimate(sample, with_variance=True)
         assert values.delta1_hat == delta1_plugin(sample)
         assert rel_err(values.delta1_hat, _delta1_by_loops(sample)) <= 1e-12, n
@@ -203,36 +232,36 @@ def test_blocked_sweep_variance_and_rho(rng, monkeypatch, ties, block_elements):
 
 
 def test_one_sweep_per_call(rng, monkeypatch):
-    # n = 40 in blocks of 10 rows.  Only the plug-in variance makes the
-    # blocked pass, building each matrix's four blocks once.  Every kappa
-    # comes from the sweep, which builds the gather's two full tables below
-    # _SORT_MIN_N and no difference matrix from there on.
-    monkeypatch.setattr(ustats, "_BLOCK_ELEMENTS", 400)
+    # No O(n^2) pass: every kappa comes from the sweep, which builds the
+    # gather's two tables below _SORT_MIN_N and no difference matrix from
+    # there on, and the plug-in variance builds none at any n.
     built = []
     original = ustats.differences
 
-    def counting(values, rows=slice(None)):
-        built.append(rows)
-        return original(values, rows)
+    def counting(values):
+        built.append(values.size)
+        return original(values)
 
     monkeypatch.setattr(ustats, "differences", counting)
     sample = random_paired_sample(rng, 40)
-    blocks = [(0, 10), (10, 20), (20, 30), (30, 40)]
     for cut, tables in ((0, 0), (10**9, 2)):
         monkeypatch.setattr(ustats, "_SORT_MIN_N", cut)
-        built.clear()
-        estimate(sample, with_variance=True)
-        assert len(built) == 2 * len(blocks) + tables, cut
-        assert sorted({(rows.start, rows.stop) for rows in built if rows != slice(None)}) == blocks
-        built.clear()
-        rho_estimates(sample)
-        assert built == [slice(None)] * tables, cut
+        for call in (lambda: estimate(sample, with_variance=True), lambda: rho_estimates(sample)):
+            built.clear()
+            call()
+            assert built == [40] * tables, cut
 
 
 def test_large_sample_statistics_stay_fast_and_small():
     # n = 2e5, where an O(n^2) pass takes minutes.
     sample = sample_family(FamilySpec("normal", 0.3), 200_000, SeedSpec(5))
-    for call in (compute_ustats, estimate, rho_estimates):
+    calls = (
+        (compute_ustats, 64e6),
+        (estimate, 64e6),
+        (rho_estimates, 64e6),
+        (lambda data: estimate(data, with_variance=True), 128e6),
+    )
+    for index, (call, limit) in enumerate(calls):
         tracemalloc.start()
         start = time.perf_counter()
         try:
@@ -241,8 +270,8 @@ def test_large_sample_statistics_stay_fast_and_small():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert elapsed < 10.0, (call.__name__, elapsed)
-        assert peak < 64e6, (call.__name__, peak)
+        assert elapsed < 10.0, (index, elapsed)
+        assert peak < limit, (index, peak)
 
 
 def test_delta1_plugin_positive_under_dependence():

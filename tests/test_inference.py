@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from kappacov import inference, ustats
 from kappacov import (
@@ -312,6 +313,25 @@ def test_normality_diagnostic_rows():
     payload = report.as_dict()
     assert payload["family"] == "normal"
     assert len(payload["rows"]) == 6
+
+
+def test_ks_distance_matches_scipy(monkeypatch):
+    # The standardized values of test_normality_diagnostic_rows' six rows.
+    seen = []
+    original = inference._ks_distance
+
+    def recording(values):
+        seen.append(values.copy())
+        return original(values)
+
+    monkeypatch.setattr(inference, "_ks_distance", recording)
+    report = normality_diagnostic(
+        FamilySpec("normal", 0.5), n_grid=(80, 160), replicates=150, seed=SeedSpec(17)
+    )
+    assert len(seen) == len(report.rows) == 6
+    for values, row in zip(seen, report.rows):
+        expected = stats.kstest(values, "norm").statistic
+        assert abs(row.ks_distance - expected) <= 1e-15
 
 
 def test_normality_diagnostic_validation():

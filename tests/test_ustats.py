@@ -1,7 +1,7 @@
 """Distinct-tuple and with-replacement pairwise means.
 
 The sweep, with either of its kernels, is checked against the literal
-enumeration over index tuples, the plug-in variance's blocked row sums
+enumeration over index tuples, the plug-in variance's sorted row sums
 against loops over index pairs, and the with-replacement means against
 their exact combinatorial identities to the distinct-tuple ones.
 """
@@ -69,16 +69,23 @@ def test_fast_matches_bruteforce_on_random_samples(rng, ties):
             assert rel_err(getattr(fast, field), getattr(slow, field)) <= 1e-12
 
 
-@pytest.mark.parametrize("block_elements", [1, 100])
+@pytest.mark.parametrize("scale", [1, 100])
 @pytest.mark.parametrize("ties", [False, True])
-def test_blocked_sweep_matches_bruteforce(rng, monkeypatch, ties, block_elements):
-    # The row sums of the plug-in variance in 1-row blocks, and in blocks
-    # of 1 to 33 rows for n = 3..64, against loops over index pairs; the
-    # sort-based row sums of the sweep against the same loops.
-    monkeypatch.setattr(ustats, "_BLOCK_ELEMENTS", block_elements)
-    for n in (3, 4, 7, 64, *rng.integers(8, 64, size=4)):
-        sample = random_paired_sample(rng, int(n), ties=ties)
-        sums = ustats.row_sums(sample)
+def test_blocked_sweep_matches_bruteforce(rng, ties, scale):
+    # The five row sums of the plug-in variance, all from sorts, against
+    # loops over index pairs, at sizes next to the powers of two the
+    # merge levels pad to, on unit-scale and on scaled samples.
+    for n in (*SWEEP_SIZES, 64, *rng.integers(8, 64, size=4)):
+        base = random_paired_sample(rng, int(n), ties=ties)
+        sample = PairedSample(scale * base.xs, scale * base.ys)
+        row_x, row_y = ustats._sorted_row_sums(sample.xs), ustats._sorted_row_sums(sample.ys)
+        sums = {
+            "a": row_x,
+            "b": row_y,
+            "pair_rows": ustats._pair_row_sums(sample),
+            "cond_x": ustats._sorted_row_sums(sample.xs, row_y),
+            "cond_y": ustats._sorted_row_sums(sample.ys, row_x),
+        }
         x, y = sample.xs.tolist(), sample.ys.tolist()
         dx = [[abs(p - q) for q in x] for p in x]
         dy = [[abs(p - q) for q in y] for p in y]
@@ -91,15 +98,8 @@ def test_blocked_sweep_matches_bruteforce(rng, monkeypatch, ties, block_elements
             "cond_x": [math.fsum(map(float.__mul__, row, b)) for row in dx],
             "cond_y": [math.fsum(map(float.__mul__, row, a)) for row in dy],
         }
-        sorted_sums = {
-            "a": ustats._sorted_row_sums(sample.xs),
-            "b": ustats._sorted_row_sums(sample.ys),
-        }
         for field, want in loops.items():
-            bound = 1e-12 * max(want)
-            assert np.abs(getattr(sums, field) - want).max() <= bound, (n, field)
-            if field in sorted_sums:
-                assert np.abs(sorted_sums[field] - want).max() <= bound, (n, field)
+            assert np.abs(sums[field] - want).max() <= 1e-12 * max(want), (n, field)
 
 
 def test_differences_rows(rng):
@@ -107,7 +107,6 @@ def test_differences_rows(rng):
     full = ustats.differences(values)
     assert full.shape == (7, 7)
     assert np.array_equal(full, [[abs(a - b) for b in values] for a in values])
-    assert np.array_equal(ustats.differences(values, slice(2, 5)), full[2:5])
 
 
 def test_with_replacement_identities(rng):
