@@ -22,6 +22,10 @@ exponential
 Both curves are validated against direct two-dimensional quadrature of
 ``(F12 - F1 * F2)^2``, the squared gap between the joint distribution
 function and the product of its marginals, which equals kappa.
+
+scipy is imported inside :func:`bvn_cdf` and
+:func:`kappa_quadrature_oracle`, the only functions that use it, so
+importing this module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 from .core import FamilySpec
 from .errors import DomainError, ThetaOutOfRange, UnsupportedFamily
@@ -278,6 +281,8 @@ def bvn_cdf(h: float, k: float, rho: float) -> float:
     """
     if not (-1.0 <= rho <= 1.0):
         raise DomainError(f"correlation must lie in [-1, 1], got {rho!r}")
+    from scipy import special
+
     if rho == 0.0:
         return float(special.ndtr(h) * special.ndtr(k))
     if rho == 1.0:
@@ -315,6 +320,12 @@ def kappa_quadrature_oracle(spec: FamilySpec) -> float:
     over a truncation box whose tail contribution is far below the
     requested tolerance.  Supports the normal and exponential families.
     """
+    if spec.family not in ("normal", "exponential"):
+        raise UnsupportedFamily(
+            f"quadrature oracle supports normal and exponential, got {spec.family!r}"
+        )
+    from scipy import integrate, special
+
     if spec.family == "normal":
         rho = spec.theta
 
@@ -328,19 +339,14 @@ def kappa_quadrature_oracle(spec: FamilySpec) -> float:
         )
         return spec.sigma1 * spec.sigma2 * value
 
-    if spec.family == "exponential":
-        theta = spec.theta
+    theta = spec.theta
 
-        def integrand(y: float, x: float) -> float:
-            gap = math.exp(-x - y) * (math.exp(-theta * x * y) - 1.0)
-            return gap * gap
+    def integrand(y: float, x: float) -> float:
+        gap = math.exp(-x - y) * (math.exp(-theta * x * y) - 1.0)
+        return gap * gap
 
-        value, _ = integrate.dblquad(
-            integrand, 0.0, 40.0, 0.0, 40.0,
-            epsabs=1e-13, epsrel=_QUAD_REL_TOL,
-        )
-        return value
-
-    raise UnsupportedFamily(
-        f"quadrature oracle supports normal and exponential, got {spec.family!r}"
+    value, _ = integrate.dblquad(
+        integrand, 0.0, 40.0, 0.0, 40.0,
+        epsabs=1e-13, epsrel=_QUAD_REL_TOL,
     )
+    return value

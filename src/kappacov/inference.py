@@ -14,6 +14,10 @@ ignores the permutation count ``b_or_r``.
 
 All three statistics inflate under dependence, so every test is
 one-sided in the upper tail.
+
+scipy is imported only by the normality diagnostic's KS distance, and
+the process pool only by a :func:`power_study` with more than one
+worker, so importing this module loads neither.
 """
 
 from __future__ import annotations
@@ -21,11 +25,9 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import special
 
 from .closedform import population_kappa
 from .core import FamilySpec, PairedSample, SeedSpec
@@ -349,6 +351,8 @@ def power_study(
     totals = np.zeros((len(grid), len(ESTIMATOR_NAMES)), dtype=np.int64)
     workers = (os.cpu_count() or 1) if threads == 0 else threads
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunksize = max(1, replicates // (8 * workers))
             for rejected in pool.map(_power_replicate_task, tasks, chunksize=chunksize):
@@ -384,6 +388,8 @@ def power_study(
 
 def _ks_distance(values: np.ndarray) -> float:
     """Kolmogorov-Smirnov distance of ``values`` to the standard normal."""
+    from scipy import special
+
     cdf = special.ndtr(np.sort(values))
     steps = np.arange(cdf.size + 1) / cdf.size
     return float(max((steps[1:] - cdf).max(), (cdf - steps[:-1]).max()))

@@ -25,6 +25,9 @@ logistic
 chisquare
     Squares of a correlated standard normal pair; one degree of
     freedom each, correlation theta**2.
+
+The samplers use numpy alone; scipy is imported by
+:func:`marginal_quantile` for the normal and chisquare quantiles only.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from .core import FamilySpec, PairedSample, SeedSpec
 from .errors import DomainError, NOnPositive
@@ -126,6 +128,8 @@ def marginal_quantile(spec: FamilySpec, coordinate: str, u: float) -> float:
         raise DomainError(f"quantile level must lie strictly in (0, 1), got {u!r}")
     family = spec.family
     if family == "normal":
+        from scipy import special
+
         scale = spec.sigma1 if coordinate == "x" else spec.sigma2
         return scale * float(special.ndtri(u))
     if family == "uniform":
@@ -139,6 +143,8 @@ def marginal_quantile(spec: FamilySpec, coordinate: str, u: float) -> float:
     if family == "logistic":
         return math.log(u) - math.log1p(-u)
     if family == "chisquare":
+        from scipy import special
+
         z = float(special.ndtri(0.5 * (1.0 + u)))
         return z * z
     raise AssertionError(f"unreachable family {family!r}")

@@ -26,6 +26,10 @@ products ``lambda_i * eta_j``, with a Chernoff bound for the far tail
 that :func:`null_tail_bound` also gives on its own.
 :func:`null_limit_model` draws the same law by Monte Carlo and is kept
 as the oracle the exact tail is tested against.
+
+scipy is imported inside the functions that use it, the two
+eigensolvers, :func:`null_tail` and its Chernoff bound, so importing
+this module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, eigvalsh_tridiagonal
 
 from .core import SeedSpec
 from .errors import (
@@ -266,6 +269,8 @@ def kernel_eigenvalues(marginal: DiscreteMarginal, k_max: int) -> EigenSpectrum:
     p = marginal.probs
     diag = c * (1.0 / p[:-1] + 1.0 / p[1:])
     off = -np.sqrt(c[:-1] * c[1:]) / p[1:-1]
+    from scipy.linalg import eigvalsh_tridiagonal
+
     mu = eigvalsh_tridiagonal(diag, off)
     mu = mu[mu > _EIG_ZERO_TOL]
     if mu.size == 0:
@@ -297,6 +302,8 @@ def dense_kernel_eigenvalues(marginal: DiscreteMarginal, k_max: int) -> EigenSpe
         raise DomainError(f"dense oracle limited to t <= {_DENSE_T_LIMIT}, got {t}")
     root_p = np.sqrt(marginal.probs)
     kernel = _centered_kernel_matrix(marginal) * np.outer(root_p, root_p)
+    from scipy.linalg import eigh
+
     eigvals = eigh(kernel, eigvals_only=True)[::-1]
     eigvals = eigvals[eigvals > _EIG_ZERO_TOL]
     if eigvals.size == 0:

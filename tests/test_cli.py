@@ -161,6 +161,42 @@ def test_cli_import_leaves_out_scipy_stats():
     assert child.stdout == "[]\n"
 
 
+def test_cold_cli_loads_no_scipy(tmp_path):
+    """Commands that need no spectrum, tail, quadrature or quantile run
+    on numpy alone; the ones that do import scipy on first use."""
+    import kappacov
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kappacov.__file__)))
+    path = str(tmp_path / "pairs.csv")
+    commands = [
+        ["sample", "--family", "normal", "--theta", "0.6", "--n", "200", "--seed", "42", "--out", path],
+        ["estimate", "--input", path, "--rho", "--variance"],
+        ["test", "--input", path, "--method", "permutation", "--b", "99", "--seed", "7"],
+    ]
+    code = (
+        "import json, sys, kappacov, kappacov.cli\n"
+        "def loaded(*prefixes):\n"
+        "    return sorted(m for m in sys.modules if m.startswith(prefixes))\n"
+        "after_import = loaded('scipy', 'multiprocessing')\n"
+        f"codes = [kappacov.cli.run(argv) for argv in {commands!r}]\n"
+        "print(json.dumps([after_import, codes, loaded('scipy')]))\n"
+    )
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert child.returncode == 0, child.stderr
+    after_import, codes, after_runs = json.loads(child.stdout.splitlines()[-1])
+    assert after_import == []
+    assert codes == [0, 0, 0]
+    assert after_runs == []
+    for argv in (
+        ["eigen", "--marginal", "normal", "--t", "200", "--k", "5"],
+        ["test", "--input", path, "--method", "asymptotic", "--seed", "7"],
+    ):
+        child = subprocess.run(
+            [sys.executable, "-m", "kappacov", *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert child.returncode == 0, child.stderr
+
+
 def test_eigen_analytic_marginal(capsys):
     code, out, _ = invoke(capsys, ["eigen", "--marginal", "uniform", "--t", "60", "--k", "5"])
     assert code == 0
