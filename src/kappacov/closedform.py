@@ -131,16 +131,12 @@ def _scaled_cf_E1(x: float) -> float:
 def exp_integral_G(x: float) -> float:
     """Exponential integral ``integral_{t >= 1} exp(-x t) / t dt`` for x > 0.
 
-    Power series for ``x <= 1``, continued fraction beyond.  Underflows
-    to subnormals and then 0 for x beyond roughly 745, where the true
-    value is below the float64 range.
+    ``exp(-x)`` times :func:`exp_integral_G_scaled`.  Underflows to
+    subnormals and then 0 for x beyond roughly 745, where the true value
+    is below the float64 range.
     """
-    x = float(x)
-    if not (x > 0.0) or math.isinf(x) or math.isnan(x):
-        raise DomainError(f"exponential integral requires finite x > 0, got {x!r}")
-    if x <= 1.0:
-        return _series_E1(x)
-    return math.exp(-x) * _scaled_cf_E1(x)
+    scaled = exp_integral_G_scaled(x)
+    return math.exp(-float(x)) * scaled
 
 
 def exp_integral_G_scaled(x: float) -> float:

@@ -13,7 +13,9 @@ limit built from the empirical marginals, whose tail
 ignores the permutation count ``b_or_r``.
 
 All three statistics inflate under dependence, so every test is
-one-sided in the upper tail.
+one-sided in the upper tail.  A power study's replicate is a function
+of its substream index alone, mapped over the streams serially or by a
+process pool.
 
 scipy is imported only by the normality diagnostic's KS distance, and
 the process pool only by a :func:`power_study` with more than one
@@ -22,6 +24,7 @@ worker, so importing this module loads neither.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
@@ -268,18 +271,16 @@ def independence_test(
     )
 
 
-def _power_replicate_task(args) -> np.ndarray:
-    (master_seed, stream, grid, n, method, b_or_r, alpha, k, estimators) = args
-    rng = SeedSpec(master_seed, stream).generator()
+def _power_replicate(stream, seed, grid, n, method, b_or_r, alpha, spectrum_k, estimators):
+    """0/1 rejections per (cell, estimator) of the replicate on substream ``stream``."""
+    rng = SeedSpec(seed.master_seed, stream).generator()
     rejected = np.zeros((len(grid), len(ESTIMATOR_NAMES)), dtype=np.int64)
-    for ci, (family, theta, sigma1, sigma2) in enumerate(grid):
-        spec = FamilySpec(family, theta, sigma1, sigma2)
-        xs, ys = _draw(spec, n, rng)
-        sample = PairedSample(xs, ys)
+    for ci, spec in enumerate(grid):
+        sample = PairedSample(*_draw(spec, n, rng))
         if method == "permutation":
             rejected[ci] = _permutation_pvalues(sample, b_or_r, rng) <= alpha
         else:
-            observed, lx, ly = _asymptotic_null(sample, k)
+            observed, lx, ly = _asymptotic_null(sample, spectrum_k)
             for name in estimators:
                 i = ESTIMATOR_NAMES.index(name)
                 centered = name != "hat"
@@ -306,10 +307,11 @@ def power_study(
 ) -> PowerReport:
     """Rejection rate per (family, theta, estimator) cell.
 
-    Replicate r draws everything from the substream at offset r, so the
-    report is identical for any worker count.  All replicates share
-    substreams across cells (common random numbers), and all three
-    statistics are computed from the same permutations within a cell.
+    Replicate r is a function of the substream at offset r alone, mapped
+    over the streams in order or by a process pool, so the report is
+    identical for any worker count.  All replicates share substreams
+    across cells (common random numbers), and all three statistics are
+    computed from the same permutations within a cell.
     With the asymptotic method a replicate whose tail bound
     (:func:`~kappacov.spectral.null_tail_bound`) is already at most
     ``alpha`` is rejected without the exact tail, with the same outcome.
@@ -328,38 +330,23 @@ def power_study(
         raise DomainError(f"need at least 100 replicates, got {replicates}")
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    grid_fields = tuple(
-        (spec.family, spec.theta, spec.sigma1, spec.sigma2) for spec in grid
-    )
-    tasks = (
-        (
-            seed.master_seed,
-            seed.stream_index + r,
-            grid_fields,
-            int(n),
-            method,
-            b_or_r,
-            float(alpha),
-            int(spectrum_k),
-            estimators,
-        )
-        for r in range(replicates)
-    )
     threads = int(threads)
     if threads < 0:
         raise DomainError(f"threads must be nonnegative, got {threads}")
-    totals = np.zeros((len(grid), len(ESTIMATOR_NAMES)), dtype=np.int64)
+    task = functools.partial(
+        _power_replicate, seed=seed, grid=grid, n=int(n), method=method, b_or_r=b_or_r,
+        alpha=float(alpha), spectrum_k=int(spectrum_k), estimators=estimators,
+    )
+    streams = range(seed.stream_index, seed.stream_index + replicates)
     workers = (os.cpu_count() or 1) if threads == 0 else threads
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunksize = max(1, replicates // (8 * workers))
-            for rejected in pool.map(_power_replicate_task, tasks, chunksize=chunksize):
-                totals += rejected
+            totals = sum(pool.map(task, streams, chunksize=chunksize))
     else:
-        for task in tasks:
-            totals += _power_replicate_task(task)
+        totals = sum(map(task, streams))
     cells = []
     for ci, spec in enumerate(grid):
         for estimator in estimators:
@@ -421,9 +408,7 @@ def normality_diagnostic(
         for r in range(replicates):
             stream = seed.stream_index + n_index * replicates + r
             rng = SeedSpec(seed.master_seed, stream).generator()
-            xs, ys = _draw(spec, n, rng)
-            sample = PairedSample(xs, ys)
-            values = estimate(sample, with_variance=True)
+            values = estimate(PairedSample(*_draw(spec, n, rng)), with_variance=True)
             trio = np.array([values.kappa_star, values.kappa_tilde, values.kappa_hat])
             scale = math.sqrt(n / values.delta1_hat)
             estimates[r] = trio
@@ -478,7 +463,7 @@ def timing_benchmark(
         raise DomainError(f"need at least 2 repetitions, got {repetitions}")
     rng = seed.generator()
     batches = [
-        [PairedSample(*_draw(spec, int(n), rng)) for _ in range(evals)]
+        [PairedSample(*_draw(spec, n, rng)) for _ in range(evals)]
         for _ in range(repetitions)
     ]
     reports = []

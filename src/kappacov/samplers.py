@@ -82,6 +82,10 @@ def _correlated_normals(
 
 
 def _draw(spec: FamilySpec, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """n pairs from ``spec`` drawn with ``rng``; every sampler calls this, so it checks n."""
+    n = int(n)
+    if n < 1:
+        raise NOnPositive(f"sample size must be positive, got {n}")
     theta = spec.theta
     if spec.family == "normal":
         z1, z2 = _correlated_normals(theta, n, rng)
@@ -112,11 +116,7 @@ def _draw(spec: FamilySpec, n: int, rng: np.random.Generator) -> tuple[np.ndarra
 
 def sample_family(spec: FamilySpec, n: int, seed: SeedSpec) -> PairedSample:
     """n i.i.d. pairs from the given family, deterministic under seed."""
-    n = int(n)
-    if n < 1:
-        raise NOnPositive(f"sample size must be positive, got {n}")
-    xs, ys = _draw(spec, n, seed.generator())
-    return PairedSample(xs, ys)
+    return PairedSample(*_draw(spec, n, seed.generator()))
 
 
 def marginal_quantile(spec: FamilySpec, coordinate: str, u: float) -> float:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from kappacov import FAMILIES, FamilySpec, PairedSample
+from kappacov.core import FAMILY_THETA_RANGES
 
-
-# Dependence parameter range per family, matching FamilySpec's validation.
-THETA_RANGE = {family: (0.0, 1.0) if family == "exponential" else (-1.0, 1.0) for family in FAMILIES}
+# Dependence parameter range per family, the one FamilySpec validates against.
+THETA_RANGE = FAMILY_THETA_RANGES
 
 
 def random_spec(rng: np.random.Generator) -> FamilySpec:

@@ -306,6 +306,23 @@ def test_power_output_is_thread_count_invariant(capsys):
     assert serial == pooled
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["power", "--n", "-5", "--replicates", "100", "--b", "99"],
+        ["power", "--n", "0", "--replicates", "100", "--b", "99"],
+        ["bench", "--n", "-5", "--evals", "10"],
+        ["bench", "--n", "0", "--evals", "10"],
+    ],
+)
+def test_studies_reject_nonpositive_n(capsys, argv):
+    code, out, err = invoke(capsys, argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("NOnPositive: ")
+    assert "Traceback" not in err
+
+
 def test_bench_reports(capsys):
     code, out, _ = invoke(
         capsys, ["bench", "--estimators", "star", "--n", "40", "--evals", "10"]

@@ -12,6 +12,7 @@ from kappacov import inference, ustats
 from kappacov import (
     DomainError,
     FamilySpec,
+    NOnPositive,
     PairedSample,
     SampleTooSmall,
     SeedSpec,
@@ -292,6 +293,10 @@ def test_power_study_validation():
         power_study(grid, replicates=100, threads=-1)
     with pytest.raises(UnknownEstimator):
         power_study(grid, replicates=100, estimators=("phi",))
+    # The size check lives in samplers._draw, so a pooled replicate raises it too.
+    for n, threads in ((0, 1), (-5, 1), (-5, 2)):
+        with pytest.raises(NOnPositive):
+            power_study(grid, n=n, replicates=100, b_or_r=99, threads=threads)
 
 
 def test_normality_diagnostic_rows():
@@ -339,6 +344,9 @@ def test_normality_diagnostic_validation():
         normality_diagnostic(FamilySpec("normal", 0.5), replicates=50)
     with pytest.raises(UnsupportedFamily):
         normality_diagnostic(FamilySpec("uniform", 0.5), replicates=100)
+    for n in (0, -5):
+        with pytest.raises(NOnPositive):
+            normality_diagnostic(FamilySpec("normal", 0.5), n_grid=(n,), replicates=100)
 
 
 def test_timing_benchmark_reports():
@@ -359,3 +367,6 @@ def test_timing_benchmark_validation():
         timing_benchmark(("star",), evals=10, repetitions=1)
     with pytest.raises(UnknownEstimator):
         timing_benchmark(("median",))
+    for n in (0, -5):
+        with pytest.raises(NOnPositive):
+            timing_benchmark(("star",), n=n, evals=10)
