@@ -21,9 +21,14 @@ uncomfortably close to any fixed cutoff).  A dense eigendecomposition
 of the kernel matrix itself is kept as an independent oracle.
 
 :func:`null_tail` gives the upper tail of either limit law exactly, by
-Imhof's (1961) inversion of the characteristic function over the
-products ``lambda_i * eta_j``, with a Chernoff bound for the far tail
-that :func:`null_tail_bound` also gives on its own.
+Imhof's (1961) inversion of the characteristic function over every
+product ``lambda_i * eta_j``, with a Chernoff bound for the far tail
+that :func:`null_tail_bound` also gives on its own.  Neither forms the
+products as one array: at each point of the integral the few large
+products are summed directly and the rest by power series whose
+coefficients are power sums of the two spectra, truncated below 1e-19
+of their sums (``_Products``).  The two Fourier-weighted passes of the
+integral share their nodes, so each is evaluated once.
 :func:`null_limit_model` draws the same law by Monte Carlo and is kept
 as the oracle the exact tail is tested against.
 
@@ -70,8 +75,9 @@ _DENSE_T_LIMIT = 200
 # are discarded as the removed constant mode or numerical noise.
 _EIG_ZERO_TOL = 1e-10
 _DRAW_BATCH = 1024
-# Share of sum(w^2) that null_tail may drop from its weights.
-_TAIL_DROPPED = 1e-10
+# Terms M of each power series that sums the products outside the head
+# (see _Products.imhof_sums).
+_SERIES_TERMS = 30
 # Far-tail level: the Chernoff bound is returned below it, and the Imhof
 # estimate, accurate to a tenth of it, is floored at it.
 _TAIL_FLOOR = 1e-12
@@ -370,35 +376,126 @@ def null_pvalue(model: NullLimitModel, statistic: float) -> float:
     return (1 + model.r - below) / (model.r + 1)
 
 
-def _tail_weights(
+class _Products:
+    """The products ``w_ij = a_i b_j`` of two spectra scaled so ``a_0 =
+    b_0 = 1``, summed over all of them without forming them as one array.
+
+    Level ``bits`` splits the products at ``tau = 2**-bits``.  Its head,
+    the products ``w >= tau``, is kept as an array; the rest enter through
+    ``T_p / p`` for ``p = 1 .. 2 M``, where ``T_p = sum (w / tau)**p`` over
+    the rest.  Row i's rest starts at ``j_i``, the first j with ``a_i b_j <
+    tau`` (one ``searchsorted`` over the descending b), so ``T_p = sum_i
+    r_i**p F_p[j_i]`` with ``r_i = a_i b_{j_i} / tau < 1`` and ``F_p[j] =
+    sum_{j' >= j} (b_j' / b_j)**p`` in [1, k_y]: no factor overflows, and
+    none underflows unless its term is negligible, however small tau is.
+    A level is built when first asked for and kept.
+    """
+
+    def __init__(self, lambdas: np.ndarray, etas: np.ndarray) -> None:
+        self.a = lambdas / lambdas[0]
+        self.b = etas / etas[0]
+        self.total = float(self.a.sum() * self.b.sum())
+        self.powers = np.arange(1, 2 * _SERIES_TERMS + 1)
+        self._padded = np.append(self.b, 0.0)
+        # F by a doubling scan of F[j] = 1 + (b_{j+1} / b_j)**p F[j + 1]:
+        # before the pass at span s, step[j] = (b_{j+s} / b_j)**p, 0 past
+        # the end, and suffix[j] sums the terms j .. j + s - 1.  The zero
+        # row serves rows of a whose rest is empty.
+        k = self.b.size
+        step = np.zeros((k, self.powers.size))
+        _power_table(self.b[1:] / self.b[:-1], out=step[:-1])
+        suffix = np.ones((k + 1, self.powers.size))
+        suffix[k] = 0.0
+        span = 1
+        while span < k:
+            suffix[: k - span] += step[: k - span] * suffix[span:k]
+            step[: k - span] *= step[span:]
+            span *= 2
+        self._suffix = suffix
+        self._levels: dict[int, tuple[np.ndarray, np.ndarray, list, list]] = {}
+
+    def level(self, bits: int) -> tuple[np.ndarray, np.ndarray, list, list]:
+        """The head ``w >= 2**-bits``, ``T_p / p`` of the rest, and the
+        coefficients of :meth:`imhof_sums`' two series in it."""
+        cached = self._levels.get(bits)
+        if cached is None:
+            starts = np.searchsorted(-self.b, -math.ldexp(1.0, -bits) / self.a, side="right")
+            rows = np.repeat(np.arange(self.a.size), starts)
+            cols = np.arange(rows.size) - np.repeat(np.cumsum(starts) - starts, starts)
+            ratios = np.ldexp(self.a, bits) * self._padded[starts]
+            series = np.einsum("ip,ip->p", _power_table(ratios), self._suffix[starts]) / self.powers
+            # T_(2m+1) / (2m+1) and T_(2m+2) / (m+1), highest m first.
+            odd, even = series[-2::-2].tolist(), (2.0 * series[::-2]).tolist()
+            cached = self._levels[bits] = (self.a[rows] * self.b[cols], series, odd, even)
+        return cached
+
+    def imhof_sums(self, u: float) -> tuple[float, float]:
+        """``sum arctan(w u)`` and ``sum log1p((w u)**2)`` over every product.
+
+        At ``bits = max(0, ceil(log2(2 u)))`` every product outside the head
+        has ``w u < x = u 2**-bits <= 1/2``.  The head is summed directly,
+        the rest by the series ``arctan(y) = sum_m (-1)**m y**(2m+1) /
+        (2m+1)`` and ``log1p(y**2) = sum_m (-1)**(m+1) y**(2m) / m`` with
+        ``sum y**p = T_p x**p``, M terms each.  Their terms shrink by at
+        least 4 each, so each is cut below ``4**-M / M`` of its sum, under
+        1e-19.
+        """
+        mantissa, exponent = math.frexp(2.0 * u)
+        bits = max(0, exponent - (mantissa == 0.5))
+        head, _, odd_terms, even_terms = self.level(bits)
+        wu = head * u
+        x = math.ldexp(u, -bits)
+        z = -x * x
+        odd = even = 0.0
+        for c_odd, c_even in zip(odd_terms, even_terms):
+            odd = odd * z + c_odd
+            even = even * z + c_even
+        arctan = float(np.arctan(wu).sum()) + x * odd
+        log = float(np.log1p(wu * wu).sum()) - z * even
+        return arctan, log
+
+
+def _power_table(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row i holds ``values[i]**p`` for ``p = 1 .. 2 M``, by running
+    products: unlike a broadcast power, it allocates only the table."""
+    shape = (values.size, 2 * _SERIES_TERMS)
+    return np.cumprod(np.broadcast_to(values[:, None], shape), axis=1, out=out)
+
+
+def _tail_law(
     lx: EigenSpectrum, ly: EigenSpectrum, statistic: float, centered: bool
-) -> tuple[np.ndarray, float]:
-    """Weights ``w`` of the null limit law and the threshold ``q`` with
-    ``P(S > statistic) = P(sum w Z^2 > q)``, both scaled so ``w[0] = 1``;
-    see :func:`null_tail`."""
+) -> tuple[_Products, float]:
+    """Products ``w`` of the null limit law and the threshold ``q`` with
+    ``P(S > statistic) = P(sum w Z^2 > q)``, both scaled so the largest
+    product is 1; see :func:`null_tail`."""
     statistic = float(statistic)
     if not math.isfinite(statistic):
         raise DomainError(f"statistic must be finite, got {statistic!r}")
-    w = np.sort(np.outer(lx.lambdas, ly.lambdas), axis=None)[::-1]
-    mass = np.cumsum(w * w)
-    w = w[: int(np.searchsorted(mass, (1.0 - _TAIL_DROPPED) * mass[-1])) + 1]
+    products = _Products(lx.lambdas, ly.lambdas)
+    total = lx.total * ly.total
     if centered:
-        threshold = statistic + w.sum()
+        threshold = statistic + total
     else:
-        threshold = statistic - (lx.trace_target * ly.trace_target - w.sum())
-    # P(sum w Z^2 > threshold) is scale free: work with the largest weight 1.
-    return w / w[0], threshold / w[0]
+        threshold = statistic - (lx.trace_target * ly.trace_target - total)
+    # P(sum w Z^2 > threshold) is scale free: work with the largest product 1.
+    return products, threshold / (lx.lambdas[0] * ly.lambdas[0])
 
 
-def _log_chernoff(w: np.ndarray, q: float) -> float:
+def _log_chernoff(products: _Products, q: float) -> float:
     """Log of ``min_s exp(-s q) prod(1 - 2 s w)^(-1/2)``, the Chernoff
-    bound on ``P(sum w Z^2 > q)``; 0 at or below the mean ``sum w``."""
+    bound on ``P(sum w Z^2 > q)``; 0 at or below the mean ``sum w``.
+
+    The head at ``tau = 1/4`` is summed directly; outside it ``2 s w <
+    1/4``, and ``-log1p(-y) = sum_p y**p / p`` is summed from ``T_p``.
+    """
     from scipy import optimize
 
-    if q <= w.sum():
+    if q <= products.total:
         return 0.0
+    head, series, _, _ = products.level(2)
+    powers = products.powers
     best = optimize.minimize_scalar(
-        lambda s: -s * q - 0.5 * np.log1p(-2.0 * s * w).sum(),
+        lambda s: -s * q - 0.5 * np.log1p(-2.0 * s * head).sum() + 0.5 * (series @ (0.5 * s) ** powers),
         bounds=(0.0, 0.5 - 1e-13),
         method="bounded",
     )
@@ -410,11 +507,13 @@ def null_tail_bound(
 ) -> float:
     """Chernoff upper bound on :func:`null_tail`, without its integral.
 
-    Far out in the tail it costs a small fraction of the tail itself, so
-    a caller that only compares the tail with a level can settle most
-    large statistics from the bound alone.
+    It runs over every product, the few at least a quarter of the largest
+    directly and the rest through their power sums (see
+    :func:`null_tail`).  Far out in the tail it costs a small fraction of
+    the tail itself, so a caller that only compares the tail with a level
+    can settle most large statistics from the bound alone.
     """
-    return math.exp(_log_chernoff(*_tail_weights(lx, ly, statistic, centered)))
+    return math.exp(_log_chernoff(*_tail_law(lx, ly, statistic, centered)))
 
 
 def null_tail(
@@ -431,30 +530,35 @@ def null_tail(
     the spectra leave out, ``lx.trace_target * ly.trace_target - sum w``,
     as a constant, so its mean is the full trace product.
 
-    The products are cut to the largest ones that carry all but 1e-10
-    of ``sum w^2``; each dropped term is replaced by its mean.  If the
-    Chernoff bound (:func:`null_tail_bound`) is below 1e-12, it is
-    returned.  Otherwise Imhof's (1961) integral is taken plainly over 10
-    periods of its oscillation, split at decades of its variable, and
-    the rest, which decays slowly when few products dominate, with a
-    Fourier weight (QUADPACK's QAWF).  That estimate, accurate to about
-    1e-13, is floored at 1e-12, so the tail is strictly positive and
-    non-increasing in ``statistic``.
+    Every product enters, and none is formed in a ``k_x * k_y`` array.
+    Imhof's integrand at ``u`` needs ``sum arctan(w u)`` and ``sum
+    log1p((w u)^2)``: the products with ``w u`` above about 1/4, a few
+    dozen where the integral lives, are summed directly, and the rest by
+    30 terms of two alternating series in ``u^2`` whose coefficients are
+    power sums of the two spectra (each series cut below 1e-19 of its
+    sum).  If the Chernoff bound (:func:`null_tail_bound`) is below
+    1e-12, it is returned.  Otherwise Imhof's (1961) integral is taken
+    plainly over 10 periods of its oscillation, split at decades of its
+    variable, and the rest, which decays slowly when few products
+    dominate, with a Fourier weight (QUADPACK's QAWF), whose cosine and
+    sine passes share their nodes and evaluate each once.  That
+    estimate, accurate to about 1e-13, is floored at 1e-12, so the tail
+    is strictly positive and non-increasing in ``statistic``.
     """
     from scipy import integrate
 
-    w, q = _tail_weights(lx, ly, statistic, centered)
-    # The largest weight alone exceeds q with probability erfc(sqrt(q / 2)),
+    products, q = _tail_law(lx, ly, statistic, centered)
+    # The largest product alone exceeds q with probability erfc(sqrt(q / 2)),
     # within 1e-15 of 1 for q up to 1e-30.
     if q <= _TAIL_BOTTOM:
         return 1.0
-    log_bound = _log_chernoff(w, q)
+    log_bound = _log_chernoff(products, q)
     if log_bound < math.log(_TAIL_FLOOR):
         return max(math.exp(log_bound), sys.float_info.min)
 
     def parts(u: float) -> tuple[float, float]:
-        wu = w * u
-        return 0.5 * np.arctan(wu).sum(), math.exp(-0.25 * np.log1p(wu * wu).sum()) / u
+        arctan, log = products.imhof_sums(u)
+        return 0.5 * arctan, math.exp(-0.25 * log) / u
 
     def integrand(u: float) -> float:
         phase, decay = parts(u)
@@ -468,12 +572,18 @@ def null_tail(
     tol = 0.1 * math.pi * _TAIL_FLOOR
     total = integrate.quad(integrand, 0.0, cut, epsabs=tol, epsrel=0.0, limit=500, points=decades)[0]
     # sin(phase - q u / 2) = sin(phase) cos(q u / 2) - cos(phase) sin(q u / 2).
+    # QAWF places both passes' nodes alike, so the first pass keeps the
+    # second's integrand at each of its nodes.
+    cos_parts: dict[float, float] = {}
 
     def sin_part(u: float) -> float:
         phase, decay = parts(u)
+        cos_parts[u] = math.cos(phase) * decay
         return math.sin(phase) * decay
 
     def cos_part(u: float) -> float:
+        if u in cos_parts:
+            return cos_parts.pop(u)
         phase, decay = parts(u)
         return math.cos(phase) * decay
 

@@ -2,9 +2,13 @@
 chi-square null limit: its exact tail and its simulated draws."""
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kappacov import (
     AllValuesEqual,
@@ -27,6 +31,7 @@ from kappacov import (
     sample_family,
 )
 from kappacov.spectral import (
+    _Products,
     dense_kernel_eigenvalues,
     null_limit_model,
     null_pvalue,
@@ -349,3 +354,153 @@ def test_null_tail_arguments():
         null_tail(lx, ly, float("nan"), centered=True)
     with pytest.raises(DomainError):
         null_tail_bound(lx, ly, float("inf"), centered=True)
+
+
+# --- the tail against direct sums over every product -------------------------------
+#
+# The oracles below form all k_x * k_y products as one array and sum
+# Imhof's integrand and the Chernoff objective over it directly; the
+# integral is taken with the same quadrature as null_tail.
+
+
+def _direct_products(lx, ly):
+    return np.outer(lx.lambdas, ly.lambdas).ravel() / (lx.lambdas[0] * ly.lambdas[0])
+
+
+def _direct_threshold(lx, ly, statistic, centered):
+    # Centered: add the mean of sum w Z^2.  Uncentered: remove the mass
+    # the spectra leave out.
+    total = lx.total * ly.total
+    offset = total if centered else total - lx.trace_target * ly.trace_target
+    return (statistic + offset) / (lx.lambdas[0] * ly.lambdas[0])
+
+
+def _direct_log_chernoff(w, q):
+    from scipy import optimize
+
+    if q <= w.sum():
+        return 0.0
+    best = optimize.minimize_scalar(
+        lambda s: -s * q - 0.5 * np.log1p(-2.0 * s * w).sum(), bounds=(0.0, 0.5 - 1e-13), method="bounded"
+    )
+    return min(best.fun, 0.0)
+
+
+def _direct_tail(lx, ly, statistic, centered):
+    from scipy import integrate
+
+    w = _direct_products(lx, ly)
+    q = _direct_threshold(lx, ly, statistic, centered)
+    if q <= 1e-30:
+        return 1.0
+    log_bound = _direct_log_chernoff(w, q)
+    if log_bound < math.log(1e-12):
+        return max(math.exp(log_bound), sys.float_info.min)
+
+    def phase(u):
+        return 0.5 * np.arctan(w * u).sum()
+
+    def decay(u):
+        return math.exp(-0.25 * np.log1p((w * u) ** 2).sum()) / u
+
+    cut = 40.0 * math.pi / q
+    decades = [10.0**j for j in range(math.ceil(math.log10(cut)))] or None
+    total = integrate.quad(
+        lambda u: math.sin(phase(u) - 0.5 * q * u) * decay(u), 0.0, cut,
+        epsabs=0.1 * math.pi * 1e-12, epsrel=0.0, limit=500, points=decades,
+    )[0]
+    total += integrate.quad(
+        lambda u: math.sin(phase(u)) * decay(u), cut, math.inf, weight="cos", wvar=0.5 * q, epsabs=1e-13
+    )[0]
+    total -= integrate.quad(
+        lambda u: math.cos(phase(u)) * decay(u), cut, math.inf, weight="sin", wvar=0.5 * q, epsabs=1e-13
+    )[0]
+    return min(1.0, max(0.5 + total / math.pi, 1e-12))
+
+
+def _eigenvalue_lists():
+    # Powers of two give products exactly at the head/rest split points
+    # 2**-b, and repeat often enough to give ties.
+    value = st.one_of(st.integers(0, 29).map(lambda e: math.ldexp(1.0, -e)), st.floats(1e-9, 1.0))
+    return st.lists(value, min_size=1, max_size=40).map(lambda v: np.sort(v)[::-1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lambdas=_eigenvalue_lists(),
+    etas=_eigenvalue_lists(),
+    u=st.one_of(st.floats(-6.0, 6.0).map(lambda e: 10.0**e), st.integers(-19, 19).map(lambda e: math.ldexp(1.0, e))),
+)
+def test_imhof_sums_match_the_direct_sums(lambdas, etas, u):
+    # Phase and log-decay of Imhof's integrand are these two sums over
+    # the scaled products, times 1/2 and -1/4.
+    w = np.outer(lambdas, etas).ravel() / (lambdas[0] * etas[0])
+    arctan, log = _Products(lambdas, etas).imhof_sums(u)
+    direct_arctan = float(np.arctan(w * u).sum())
+    direct_log = float(np.log1p((w * u) ** 2).sum())
+    assert abs(arctan - direct_arctan) <= 1e-13 * direct_arctan, (arctan, direct_arctan)
+    assert abs(log - direct_log) <= 1e-13 * direct_log, (log, direct_log)
+
+
+def _stress_marginals():
+    normal = FamilySpec("normal", 0.0)
+    marginals = {
+        "normal": discretize_marginal(lambda u: marginal_quantile(normal, "x", u), 200),
+        "exponential": discretize_marginal(lambda u: -math.log1p(-u), 200),
+        "uniform": uniform_marginal(200),
+        "binary": DiscreteMarginal(np.array([0.0, 1.0]), np.array([0.3, 0.7])),
+    }
+    names = list(marginals)
+    return [(marginals[x], marginals[names[(i + 1) % 4]]) for i, x in enumerate(names)]
+
+
+def _stress_grid(x, y):
+    """(lx, ly, statistic, centered) over k and both laws, with thresholds
+    from 1e-18 of the largest product (p near 1 - 1e-9 for one product)
+    to past the mean by 45 (p near 5e-12)."""
+    for k in (1, 5, 30, 100):
+        lx, ly = kernel_eigenvalues(x, k), kernel_eigenvalues(y, k)
+        top, total = lx.lambdas[0] * ly.lambdas[0], lx.total * ly.total
+        mean = total / top
+        for centered in (True, False):
+            shift = total if centered else -(lx.trace_target * ly.trace_target - total)
+            for q in (1e-18, 1e-3, mean, 2.0 * mean, 5.0 * mean, 30.0 + 2.0 * mean, 45.0 + 2.0 * mean):
+                yield lx, ly, q * top - shift, centered
+
+
+@pytest.mark.parametrize("pair", range(4), ids=["normal-exponential", "exponential-uniform", "uniform-binary", "binary-normal"])
+def test_null_tail_matches_the_direct_sum_imhof(pair):
+    tails = []
+    for lx, ly, statistic, centered in _stress_grid(*_stress_marginals()[pair]):
+        exact = null_tail(lx, ly, statistic, centered=centered)
+        assert abs(exact - _direct_tail(lx, ly, statistic, centered)) <= 1e-12, (lx.k, ly.k, statistic, centered)
+        tails.append(exact)
+    assert min(tails) < 1e-11 and max(tails) > 1.0 - 1e-9
+
+
+def test_null_tail_bound_matches_the_direct_chernoff():
+    # Bounds from 1 down to about 1e-13; far below, one rounding of the
+    # log bound alone exceeds 1e-14 of the bound.
+    for x, y in _stress_marginals():
+        for lx, ly, statistic, centered in _stress_grid(x, y):
+            bound = null_tail_bound(lx, ly, statistic, centered=centered)
+            direct = math.exp(
+                _direct_log_chernoff(_direct_products(lx, ly), _direct_threshold(lx, ly, statistic, centered))
+            )
+            assert abs(bound - direct) <= 1e-14 * direct, (lx.k, ly.k, statistic, centered, bound, direct)
+
+
+def test_null_tail_on_a_million_products_stays_small():
+    spectrum = kernel_eigenvalues(uniform_marginal(1001), 1000)
+    assert spectrum.k == 1000
+    null_tail(spectrum, spectrum, 0.5, centered=False)  # scipy's imports
+    tracemalloc.start()
+    try:
+        p = null_tail(spectrum, spectrum, spectrum.total**2, centered=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One 10**6 product array is 8 MB; the tail built from sorting it
+    # peaked at 24 MB here, and builds none now (about 1.6 MB).
+    assert peak < 4e6, peak
+    assert 0.3 < p < 0.4
