@@ -335,7 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=("permutation", "asymptotic"), default="permutation"
     )
     p_power.add_argument("--b", type=int, default=199)
-    p_power.add_argument("--threads", type=int, default=1, help="0 = all cores")
+    p_power.add_argument(
+        "--threads", type=int, default=1, help="workers, at most one per core; 0 = all cores"
+    )
     _add_common(p_power)
     p_power.set_defaults(handler=_cmd_power)
 

@@ -309,9 +309,10 @@ def power_study(
 
     Replicate r is a function of the substream at offset r alone, mapped
     over the streams in order or by a process pool, so the report is
-    identical for any worker count.  All replicates share substreams
-    across cells (common random numbers), and all three statistics are
-    computed from the same permutations within a cell.
+    identical for any worker count: ``threads`` of them, at most one per
+    core, and all cores for 0.  All replicates share substreams across
+    cells (common random numbers), and all three statistics are computed
+    from the same permutations within a cell.
     With the asymptotic method a replicate whose tail bound
     (:func:`~kappacov.spectral.null_tail_bound`) is already at most
     ``alpha`` is rejected without the exact tail, with the same outcome.
@@ -338,7 +339,9 @@ def power_study(
         alpha=float(alpha), spectrum_k=int(spectrum_k), estimators=estimators,
     )
     streams = range(seed.stream_index, seed.stream_index + replicates)
-    workers = (os.cpu_count() or 1) if threads == 0 else threads
+    # A pool forks all its workers at once, so never ask for more than cores.
+    cores = os.cpu_count() or 1
+    workers = min(threads, cores) if threads else cores
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

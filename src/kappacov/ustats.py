@@ -23,15 +23,12 @@ pair sum of ``|dx| * |dy|`` and the cross sum ``a @ b``.  Permuting
 ``y`` moves only the last two, so one sweep serves one sample and any
 array of permutations of ``y`` alike: :func:`compute_ustats` is its
 identity row, and :func:`permutation_bundles` runs it over all rows in
-chunks of bounded size.  Below ``_SORT_MIN_N`` observations the pair
-sums come from one gather of the precomputed y table per chunk; from
-there on an O(n log n) merge-sort kernel computes them, and one sort
-per coordinate gives the row sums, without any n^2 table or pass.
-
-The plug-in variance takes its row-level sums from sorts as well:
-:func:`_sorted_row_sums` gives ``a``, ``b``, ``dx @ b`` and ``dy @ a``, and
-:func:`_pair_row_sums` those of ``|dx| * |dy|``.  :func:`differences` is
-the one place a difference matrix is built.
+chunks of bounded size.  From ``_SORT_MIN_N`` observations on, sorts
+and one merge sort, :func:`_merge_levels`, give these sums with no n^2
+table or pass; below, a gather from cached tables does.  The plug-in
+variance takes its row-level sums from the same sorts and merge sort, in
+:func:`_sorted_row_sums` and :func:`_pair_row_sums`.  :func:`differences`
+is the one place a difference matrix is built.
 """
 
 from __future__ import annotations
@@ -280,6 +277,37 @@ def _gather_kernel(tables: PairwiseTables):
     return n * n, pair_sums
 
 
+def _centered(sample: PairedSample) -> tuple:
+    """The stable ``x`` order, and both coordinates less their medians, so
+    that offsets near 1e9 do not cancel and a constant column is exactly 0."""
+    order = np.argsort(sample.xs, kind="stable")
+    return order, sample.xs - np.median(sample.xs), sample.ys - np.median(sample.ys)
+
+
+def _merge_levels(w: np.ndarray, *moved: np.ndarray):
+    """Merge sort each row of ``w`` bottom up, moving ``moved`` along.
+
+    Rows are a power of two wide, and padding after the real entries is
+    never left of a real entry in a merge.  Merging runs of ``half``
+    entries yields ``half``, the merged ``w`` and ``moved``, the left-run
+    mask, and ``count``: for a right-run entry, the number of left-run
+    values at most it.
+    """
+    rows, width = w.shape
+    half = 1
+    while half < width:
+        idx = np.argsort(w.reshape(-1, 2 * half), axis=1, kind="stable")
+        flat = (idx + np.arange(0, w.size, 2 * half)[:, None]).ravel()
+        w = w.ravel().take(flat).reshape(rows, width)
+        moved = [a.ravel().take(flat).reshape(rows, width) for a in moved]
+        left = (idx < half).reshape(rows, width)
+        count = (np.arange(half, 3 * half) - idx).reshape(rows, width)
+        # Held across the yield, these two cost _pair_row_sums about 2%.
+        del idx, flat
+        yield half, w, moved, left, count
+        half *= 2
+
+
 def _sort_kernel(sample: PairedSample, b: np.ndarray):
     """Entries a permutation counts against ``_SWEEP_ELEMENTS``, and the
     pair sums of a chunk of permutations in O(n log n) each.
@@ -290,45 +318,28 @@ def _sort_kernel(sample: PairedSample, b: np.ndarray):
     the earlier ``i`` and ``B_j`` is the permuted row sum ``b``.  With
     ``P_j`` the sum of the earlier ``w_i``, and ``c_j``, ``s_j`` the count
     and the sum of those below ``w_j``,
-    ``L_j = P_j - j w_j + 2 (c_j w_j - s_j)``.  A bottom-up merge sort of
-    each row gives the last term: at every level a right-half element's
-    merged position says how many left-half values sort before it, and a
-    cumulative sum of the left-half values gives their total.  Both
-    coordinates are centered on their medians first, so offsets near 1e9
-    do not cancel and a constant column is exactly 0, as no mean is.
+    ``L_j = P_j - j w_j + 2 (c_j w_j - s_j)``, whose last term sums over
+    the levels of :func:`_merge_levels`.
     """
     n = sample.n
-    order = np.argsort(sample.xs, kind="stable")
-    x = sample.xs[order] - np.median(sample.xs)
-    y = sample.ys - np.median(sample.ys)
+    order, x, y = _centered(sample)
+    x = x[order]
     width = 1 << (n - 1).bit_length()
     ramp = np.arange(1, n + 1)
 
     def pair_sums(perms: np.ndarray) -> np.ndarray:
         rows = len(perms)
         perms = perms[:, order]
-        # Row k holds w and, moved along with it, the x it pairs with.  The
-        # padding comes after every real position and carries x = 0, so it
-        # adds nothing.
+        # Row k holds w and the x it pairs with; the padding's x is 0.
         w = np.zeros((rows, width))
         w[:, :n] = y[perms]
         v = np.zeros((rows, width))
         v[:, :n] = x
-        head = w[:, :n]
-        earlier = (np.cumsum(head, axis=1) - ramp * head) @ x
+        earlier = (np.cumsum(w[:, :n], axis=1) - ramp * w[:, :n]) @ x
         below = np.zeros(rows)
-        half = 1
-        while half < width:
-            idx = np.argsort(w.reshape(-1, 2 * half), axis=1, kind="stable")
-            flat = (idx + np.arange(0, w.size, 2 * half)[:, None]).ravel()
-            w = w.ravel().take(flat).reshape(rows, width)
-            v = v.ravel().take(flat).reshape(rows, width)
-            left = (idx < half).reshape(rows, width)
-            left_sum = np.cumsum((w * left).reshape(-1, 2 * half), axis=1)
-            left_count = np.arange(half, 3 * half) - idx
-            gap = w * left_count.reshape(rows, width) - left_sum.reshape(rows, width)
-            below += np.einsum("ij,ij->i", v * ~left, gap)
-            half *= 2
+        for half, w, (v,), left, count in _merge_levels(w, v):
+            left_sum = np.cumsum((w * left).reshape(-1, 2 * half), axis=1).reshape(rows, width)
+            below += np.einsum("ij,ij->i", v * ~left, w * count - left_sum)
         # Ordered pairs: twice sum_j x_j (2 L_j - B_j).
         return 4.0 * earlier + 8.0 * below - 2.0 * (b[perms] @ x)
 
@@ -363,38 +374,26 @@ def _pair_row_sums(sample: PairedSample) -> np.ndarray:
     With ``d_j = (x_i - x_j) (y_i - y_j)``, a row sum is twice the sum of
     the positive ``d_j`` less the sum of all, which needs only totals.  In
     ``x`` order, an earlier partner's ``d_j`` is positive when its ``y``
-    sorts before ``y_i`` in the left half of ``i``'s block at one level of
-    a merge sort of ``y``.  Negating and reversing both coordinates, as a
-    second row, makes the later partners earlier.  As in
-    :func:`_sort_kernel`, both are centered on their medians first.
+    sorts before ``y_i`` in the left run merged with ``i``'s at one level
+    of :func:`_merge_levels` over ``y``.  Negating and reversing both
+    coordinates, as a second row, makes the later partners earlier.
     """
     n = sample.n
-    order = np.argsort(sample.xs, kind="stable")
-    x = sample.xs - np.median(sample.xs)
-    y = sample.ys - np.median(sample.ys)
+    order, x, y = _centered(sample)
     every = n * x * y - x * y.sum() - y * x.sum() + (x * y).sum()
     x, y = x[order], y[order]
-    # The padding comes after every real position, so it is never the left
-    # partner of a real entry; what it collects falls beyond position n.
     rows, width = 2, 1 << (n - 1).bit_length()
     w, v = np.zeros((rows, width)), np.zeros((rows, width))
     w[:, :n], v[:, :n] = (y, -y[::-1]), (x, -x[::-1])
+    # What the padding collects falls beyond position n.
     positive = np.zeros(rows * width)
     position = np.arange(rows * width).reshape(rows, width)
-    half = 1
-    while half < width:
-        idx = np.argsort(w.reshape(-1, 2 * half), axis=1, kind="stable")
-        flat = (idx + np.arange(0, w.size, 2 * half)[:, None]).ravel()
-        w, v, position = (a.ravel().take(flat).reshape(rows, width) for a in (w, v, position))
-        right = (idx >= half).reshape(rows, width)
-        count = (np.arange(half, 3 * half) - idx).reshape(rows, width)
-        v_left, w_left = v * ~right, w * ~right
+    for half, w, (v, position), left, count in _merge_levels(w, v, position):
         sx, sy, sxy = (
             np.cumsum(q.reshape(-1, 2 * half), axis=1).reshape(rows, width)
-            for q in (v_left, w_left, v_left * w)
+            for q in (v * left, w * left, v * left * w)
         )
-        positive[position] += right * (v * (count * w - sy) - (w * sx - sxy))
-        half *= 2
+        positive[position] += ~left * (v * (count * w - sy) - (w * sx - sxy))
     positive = positive.reshape(rows, width)[:, :n]
     sums = np.empty(n)
     sums[order] = 2.0 * (positive[0] + positive[1, ::-1])

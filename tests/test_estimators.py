@@ -216,7 +216,7 @@ def _rho_by_three_bundles(sample: PairedSample) -> tuple[float, float]:
 
 @pytest.mark.parametrize("scale", [1, 100])
 @pytest.mark.parametrize("ties", [False, True])
-def test_blocked_sweep_variance_and_rho(rng, ties, scale):
+def test_variance_and_rho_match_oracles(rng, ties, scale):
     # The sort-based plug-in variance and rho against their oracles, on
     # unit-scale and on scaled samples.
     for n in (3, 4, 7, 64, *rng.integers(8, 64, size=4)):

@@ -1,5 +1,6 @@
 """Independence tests, power studies, normality diagnostics, timing."""
 
+import concurrent.futures
 import math
 import tracemalloc
 from fractions import Fraction
@@ -224,6 +225,35 @@ def test_power_study_worker_count_invariance():
     serial = power_study(grid, n=40, replicates=100, b_or_r=99, seed=SeedSpec(13), threads=1)
     pooled = power_study(grid, n=40, replicates=100, b_or_r=99, seed=SeedSpec(13), threads=2)
     assert serial.as_dict() == pooled.as_dict()
+
+
+@pytest.mark.parametrize("threads", [0, 10**6])
+def test_power_study_caps_workers_at_cores(monkeypatch, threads):
+    # A process pool forks every worker it is asked for at once.  The fake
+    # pool records the request and maps serially, so no process starts.
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(inference.os, "cpu_count", lambda: 3)
+    grid = [FamilySpec("normal", 0.0), FamilySpec("normal", 0.8)]
+    serial = power_study(grid, n=20, replicates=100, b_or_r=99, seed=SeedSpec(13), threads=1)
+    assert asked == []
+    pooled = power_study(grid, n=20, replicates=100, b_or_r=99, seed=SeedSpec(13), threads=threads)
+    assert asked == [3]
+    assert pooled.as_dict() == serial.as_dict()
 
 
 def test_power_study_separates_null_from_alternative():

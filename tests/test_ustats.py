@@ -2,7 +2,8 @@
 
 The sweep, with either of its kernels, is checked against the literal
 enumeration over index tuples, the plug-in variance's sorted row sums
-against loops over index pairs, and the with-replacement means against
+against loops over index pairs, the shared merge sort level by level
+against the rows it started from, and the with-replacement means against
 their exact combinatorial identities to the distinct-tuple ones.
 """
 
@@ -71,7 +72,7 @@ def test_fast_matches_bruteforce_on_random_samples(rng, ties):
 
 @pytest.mark.parametrize("scale", [1, 100])
 @pytest.mark.parametrize("ties", [False, True])
-def test_blocked_sweep_matches_bruteforce(rng, ties, scale):
+def test_sorted_row_sums_match_loops(rng, ties, scale):
     # The five row sums of the plug-in variance, all from sorts, against
     # loops over index pairs, at sizes next to the powers of two the
     # merge levels pad to, on unit-scale and on scaled samples.
@@ -205,6 +206,39 @@ def test_fast_route_is_exact_property(data):
         assert abs(a - b) <= 1e-10 * max(1.0, abs(a), abs(b)), field
     bound = 1e-12 * statistic_scale(slow)
     assert np.abs(np.subtract(kappa_trio(fast), kappa_trio(slow))).max() <= bound
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_merge_levels_property(data):
+    # Every level of the one merge sort, read against the rows it started
+    # from: stable sorted runs, moved arrays still paired with w, the
+    # left-run mask, and each right-run entry's count of left-run values.
+    rows = data.draw(st.integers(1, 3), label="rows")
+    width = 1 << data.draw(st.integers(0, 6), label="log2 width")
+    values = data.draw(
+        st.sampled_from([st.floats(-50, 50), st.integers(0, 2).map(float)]), label="values"
+    )
+    entries = data.draw(st.lists(values, min_size=rows * width, max_size=rows * width))
+    w0 = np.array(entries).reshape(rows, width)
+    scaled0 = 0.5 * w0 - 3.0
+    column0 = np.tile(np.arange(width), (rows, 1))
+    levels = list(ustats._merge_levels(w0, column0, scaled0))
+    assert [level[0] for level in levels] == [1 << k for k in range(width.bit_length() - 1)]
+    for half, w, (column, scaled), left, count in levels:
+        assert np.array_equal(np.take_along_axis(w0, column, axis=1), w)
+        assert np.array_equal(np.take_along_axis(scaled0, column, axis=1), scaled)
+        assert np.array_equal(left, column % (2 * half) < half)
+        for r in range(rows):
+            for start in range(0, width, 2 * half):
+                run = range(start, start + 2 * half)
+                assert sorted(column[r, run]) == list(run)
+                keys = list(zip(w[r, run], column[r, run]))
+                assert keys == sorted(keys), (half, r, start)
+                left_values = w0[r, start : start + half]
+                for j in run:
+                    if not left[r, j]:
+                        assert count[r, j] == np.sum(left_values <= w[r, j]), (half, r, j)
 
 
 @settings(max_examples=80, deadline=None)
