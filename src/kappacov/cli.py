@@ -29,6 +29,8 @@ from .spectral import discretize_marginal, empirical_marginal, kernel_eigenvalue
 __all__ = ["build_parser", "run", "main"]
 
 _OUTPUT_FORMATS = ("json", "table", "csv")
+# --method choices and the inference method each names.
+_METHODS = {"permutation": "permutation", "asymptotic": "asymptotic_null"}
 
 
 class _UsageError(Exception):
@@ -129,13 +131,8 @@ def _cmd_estimate(args) -> _Output:
     sample = load_sample(args.input)
     values = estimate(sample, with_variance=args.variance)
     payload: dict = {"n": values.n}
-    wanted = ESTIMATOR_NAMES if args.estimator == "all" else (args.estimator,)
-    if "star" in wanted:
-        payload["kappa_star"] = values.kappa_star
-    if "tilde" in wanted:
-        payload["kappa_tilde"] = values.kappa_tilde
-    if "hat" in wanted:
-        payload["kappa_hat"] = values.kappa_hat
+    for name in ESTIMATOR_NAMES if args.estimator == "all" else (args.estimator,):
+        payload[f"kappa_{name}"] = getattr(values, f"kappa_{name}")
     if args.variance:
         payload["delta1_hat"] = values.delta1_hat
     if args.rho:
@@ -147,11 +144,10 @@ def _cmd_estimate(args) -> _Output:
 
 def _cmd_test(args) -> _Output:
     sample = load_sample(args.input)
-    method = "asymptotic_null" if args.method == "asymptotic" else args.method
     result = independence_test(
         sample,
         estimator=args.estimator,
-        method=method,
+        method=_METHODS[args.method],
         b_or_r=args.b,
         seed=SeedSpec(args.seed),
     )
@@ -213,13 +209,12 @@ def _cmd_power(args) -> _Output:
         for family in args.families
         for theta in args.thetas
     ]
-    method = "asymptotic_null" if args.method == "asymptotic" else args.method
     report = power_study(
         grid,
         n=args.n,
         replicates=args.replicates,
         alpha=args.alpha,
-        method=method,
+        method=_METHODS[args.method],
         b_or_r=args.b,
         seed=SeedSpec(args.seed),
         estimators=tuple(args.estimators),
@@ -274,9 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test = subparsers.add_parser("test", help="test independence")
     p_test.add_argument("--input", required=True)
     p_test.add_argument("--estimator", choices=ESTIMATOR_NAMES, default="star")
-    p_test.add_argument(
-        "--method", choices=("permutation", "asymptotic"), default="permutation"
-    )
+    p_test.add_argument("--method", choices=tuple(_METHODS), default="permutation")
     p_test.add_argument(
         "--b",
         type=int,
@@ -331,9 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_power.add_argument(
         "--estimators", type=_estimator_list, default=list(ESTIMATOR_NAMES)
     )
-    p_power.add_argument(
-        "--method", choices=("permutation", "asymptotic"), default="permutation"
-    )
+    p_power.add_argument("--method", choices=tuple(_METHODS), default="permutation")
     p_power.add_argument("--b", type=int, default=199)
     p_power.add_argument(
         "--threads", type=int, default=1, help="workers, at most one per core; 0 = all cores"

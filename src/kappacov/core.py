@@ -189,10 +189,11 @@ def _looks_numeric(text: str) -> bool:
 def load_sample(path) -> PairedSample:
     """Read a two-column CSV of paired observations.
 
-    The first physical row is treated as a header when it has two fields
-    and either of them does not parse as a number.  Data rows are
-    numbered from 1 with the header excluded; that number is attached to
-    any :class:`ParseError`.  NaN and infinity tokens are rejected.
+    A leading UTF-8 byte-order mark is skipped.  The first physical row
+    is treated as a header when it has two fields and either of them does
+    not parse as a number.  Data rows are numbered from 1 with the header
+    excluded; that number is attached to any :class:`ParseError`.  NaN
+    and infinity tokens are rejected.
 
     Raises
     ------
@@ -205,7 +206,7 @@ def load_sample(path) -> PairedSample:
         Fewer than two data rows are present.
     """
     try:
-        with open(path, "r", newline="", encoding="utf-8") as handle:
+        with open(path, "r", newline="", encoding="utf-8-sig") as handle:
             raw = list(csv.reader(handle))
     except OSError as exc:
         raise SampleIOError(f"cannot read {path}: {exc}") from exc

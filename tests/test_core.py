@@ -129,6 +129,19 @@ def test_load_sample_without_header(tmp_path):
     assert sample.xs[1] == 3.25
 
 
+def test_load_sample_with_byte_order_mark(tmp_path):
+    # Spreadsheet exports often begin with a BOM; it must not turn the
+    # first data row into a header.
+    bare = tmp_path / "bom.csv"
+    bare.write_text("\ufeff1,2\n3,4\n5,6\n7,8\n", encoding="utf-8")
+    sample = load_sample(bare)
+    assert sample.n == 4
+    assert sample.xs[0] == 1.0
+    headed = tmp_path / "bom_header.csv"
+    headed.write_text("\ufeffx,y\n1,2\n3,4\n", encoding="utf-8")
+    assert np.array_equal(load_sample(headed).xs, [1.0, 3.0])
+
+
 def test_load_sample_skips_blank_lines(tmp_path):
     path = tmp_path / "blanks.csv"
     path.write_text("x,y\n\n1,2\n\n3,4\n")

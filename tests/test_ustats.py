@@ -157,12 +157,11 @@ def test_needs_three_observations(func):
 
 def test_pairwise_tables_fields(rng):
     sample = random_paired_sample(rng, 9)
-    tables = pairwise_tables(sample)
-    dx = np.abs(sample.xs[:, None] - sample.xs[None, :])
-    assert np.allclose(tables.dx, dx)
-    assert np.allclose(tables.a, dx.sum(axis=1))
-    assert math.isclose(tables.sum_x, dx.sum(), rel_tol=1e-14)
-    assert tables.n == 9
+    dx, dy = pairwise_tables(sample)
+    assert np.array_equal(dx, [[abs(p - q) for q in sample.xs] for p in sample.xs])
+    assert np.array_equal(dy, [[abs(p - q) for q in sample.ys] for p in sample.ys])
+    with pytest.raises(SampleTooSmall):
+        pairwise_tables(PairedSample(sample.xs[:2], sample.ys[:2]))
 
 
 def test_bundle_for_permutation_identity(rng):
@@ -187,7 +186,7 @@ def test_bundle_for_permutation_matches_permuted_sample(rng):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_fast_route_is_exact_property(data):
-    # Either kernel of the sweep, forced, on tied and untied columns and at
+    # Each kernel of the sweep, forced, on tied and untied columns and at
     # offsets near 1e9, which cancel if the kernel does not center.
     n = data.draw(st.integers(3, 12), label="n")
     values = data.draw(
@@ -197,15 +196,20 @@ def test_fast_route_is_exact_property(data):
     xs = np.array(data.draw(st.lists(values, min_size=n, max_size=n), label="xs")) + offset
     ys = np.array(data.draw(st.lists(values, min_size=n, max_size=n), label="ys")) - offset
     sample = PairedSample(xs, ys)
-    kernel = data.draw(st.sampled_from(sorted(KERNELS)), label="kernel")
-    with mock.patch.object(ustats, "_SORT_MIN_N", KERNELS[kernel]):
-        fast = compute_ustats(sample)
     slow = compute_ustats_bruteforce(sample)
-    for field in FIELDS:
-        a, b = getattr(fast, field), getattr(slow, field)
-        assert abs(a - b) <= 1e-10 * max(1.0, abs(a), abs(b)), field
     bound = 1e-12 * statistic_scale(slow)
-    assert np.abs(np.subtract(kappa_trio(fast), kappa_trio(slow))).max() <= bound
+    fast = {}
+    for kernel, cut in KERNELS.items():
+        with mock.patch.object(ustats, "_SORT_MIN_N", cut):
+            fast[kernel] = compute_ustats(sample)
+        for field in FIELDS:
+            a, b = getattr(fast[kernel], field), getattr(slow, field)
+            assert abs(a - b) <= 1e-10 * max(1.0, abs(a), abs(b)), (kernel, field)
+        assert np.abs(np.subtract(kappa_trio(fast[kernel]), kappa_trio(slow))).max() <= bound
+    # Both kernels take the row sums from the same sorts, so the means a
+    # permutation leaves alone agree to the last bit.
+    for field in ("u1", "u2", "v1", "v2"):
+        assert getattr(fast["sort"], field) == getattr(fast["gather"], field), field
 
 
 @settings(max_examples=80, deadline=None)
