@@ -8,9 +8,9 @@ observed one come from one sweep over the permutations
 within ``1e-12 * statistic_scale`` below the observed one counts as a
 tie, since the two can differ by rounding alone.  The asymptotic route
 scales the statistic by n and refers it to the weighted chi-square null
-limit built from the empirical marginals, whose tail
-:func:`~kappacov.spectral.null_tail` computes without simulation, so it
-ignores the permutation count ``b_or_r``.
+limit built from the empirical marginals, whose tail the sample's one
+null law (as in :func:`~kappacov.spectral.null_tail`) computes without
+simulation, so it ignores the permutation count ``b_or_r``.
 
 All three statistics inflate under dependence, so every test is
 one-sided in the upper tail.  A power study's replicate is a function
@@ -44,13 +44,7 @@ from .estimators import (
     statistic_scale,
 )
 from .samplers import _draw
-from .spectral import (
-    EigenSpectrum,
-    empirical_marginal,
-    kernel_eigenvalues,
-    null_tail,
-    null_tail_bound,
-)
+from .spectral import _NullLaw, empirical_marginal, kernel_eigenvalues
 from .ustats import compute_ustats, permutation_bundles
 
 __all__ = [
@@ -220,10 +214,9 @@ def _permutation_pvalues(
     return (1.0 + exceed) / (b + 1.0)
 
 
-def _asymptotic_null(
-    sample: PairedSample, k: int
-) -> tuple[np.ndarray, EigenSpectrum, EigenSpectrum]:
-    """n-scaled trio and the top-``k`` kernel spectra of both marginals.
+def _asymptotic_null(sample: PairedSample, k: int) -> tuple[np.ndarray, _NullLaw]:
+    """n-scaled trio and the null limit law of the top-``k`` kernel
+    spectra of both marginals.
 
     ``kappa_star`` and ``kappa_tilde`` refer to the centered null limit,
     ``kappa_hat`` to the uncentered one.
@@ -231,7 +224,7 @@ def _asymptotic_null(
     scaled = sample.n * np.array(kappa_trio(compute_ustats(sample)))
     lx = kernel_eigenvalues(empirical_marginal(sample.xs), k)
     ly = kernel_eigenvalues(empirical_marginal(sample.ys), k)
-    return scaled, lx, ly
+    return scaled, _NullLaw(lx, ly)
 
 
 def independence_test(
@@ -258,8 +251,8 @@ def independence_test(
         observed = kappa_trio(compute_ustats(sample))
         p_value = _permutation_pvalues(sample, b_or_r, seed.generator())[index]
     else:
-        observed, lx, ly = _asymptotic_null(sample, spectrum_k)
-        p_value = null_tail(lx, ly, observed[index], centered=estimator != "hat")
+        observed, law = _asymptotic_null(sample, spectrum_k)
+        p_value = law.tail(law.threshold(observed[index], centered=estimator != "hat"))
     return TestResult(
         statistic_name=f"kappa_{estimator}",
         statistic=float(observed[index]),
@@ -280,16 +273,13 @@ def _power_replicate(stream, seed, grid, n, method, b_or_r, alpha, spectrum_k, e
         if method == "permutation":
             rejected[ci] = _permutation_pvalues(sample, b_or_r, rng) <= alpha
         else:
-            observed, lx, ly = _asymptotic_null(sample, spectrum_k)
+            observed, law = _asymptotic_null(sample, spectrum_k)
             for name in estimators:
                 i = ESTIMATOR_NAMES.index(name)
-                centered = name != "hat"
-                # The tail is at most its Chernoff bound, which settles most
-                # strong-signal replicates without Imhof's integral.
-                rejected[ci, i] = (
-                    null_tail_bound(lx, ly, observed[i], centered) <= alpha
-                    or null_tail(lx, ly, observed[i], centered) <= alpha
-                )
+                q = law.threshold(observed[i], centered=name != "hat")
+                # The tail is at most its Chernoff bound, which the law keeps:
+                # it settles most strong-signal replicates without Imhof's integral.
+                rejected[ci, i] = math.exp(law.log_bound(q)) <= alpha or law.tail(q) <= alpha
     return rejected
 
 
@@ -313,9 +303,10 @@ def power_study(
     core, and all cores for 0.  All replicates share substreams across
     cells (common random numbers), and all three statistics are computed
     from the same permutations within a cell.
-    With the asymptotic method a replicate whose tail bound
-    (:func:`~kappacov.spectral.null_tail_bound`) is already at most
-    ``alpha`` is rejected without the exact tail, with the same outcome.
+    With the asymptotic method each cell's sample gives one null law,
+    which every estimator asks for its tail bound
+    (:func:`~kappacov.spectral.null_tail_bound`) and, only where that is
+    above ``alpha``, its exact tail: the same outcome as the tail alone.
     """
     grid = tuple(grid)
     if not grid:

@@ -18,17 +18,22 @@ definite tridiagonal ``K K'``.  Solving the latter removes the constant
 mode structurally instead of relying on a numerical threshold to
 separate it (at t = 1000 the spurious mode computes to about 6e-11,
 uncomfortably close to any fixed cutoff).  A dense eigendecomposition
-of the kernel matrix itself is kept as an independent oracle.
+of the kernel matrix itself is kept as an independent oracle.  Both
+solve on the support divided by a power of two near its spread and
+scale the eigenvalues back, exactly, so a spectrum follows the data's
+units and its zero cut does not.
 
-:func:`null_tail` gives the upper tail of either limit law exactly, by
-Imhof's (1961) inversion of the characteristic function over every
-product ``lambda_i * eta_j``, with a Chernoff bound for the far tail
-that :func:`null_tail_bound` also gives on its own.  Neither forms the
-products as one array: at each point of the integral the few large
-products are summed directly and the rest by power series whose
-coefficients are power sums of the two spectra, truncated below 1e-19
-of their sums (``_Products``).  The two Fourier-weighted passes of the
-integral share their nodes, so each is evaluated once.
+The limit law is fixed by the two spectra: one ``_NullLaw`` per pair
+gives a statistic's threshold, a Chernoff bound for the far tail, and
+the upper tail of either law exactly, by Imhof's (1961) inversion of
+the characteristic function over every product ``lambda_i * eta_j``;
+:func:`null_tail` and :func:`null_tail_bound` each ask one.  The law
+never forms the products as one array: at each point of the integral
+the few large products are summed directly and the rest by power
+series whose coefficients are power sums of the two spectra, truncated
+below 1e-19 of their sums and kept, as is each threshold's bound.  The
+two Fourier-weighted passes of the integral share their nodes, so each
+is evaluated once.
 :func:`null_limit_model` draws the same law by Monte Carlo and is kept
 as the oracle the exact tail is tested against.
 
@@ -71,12 +76,13 @@ __all__ = [
 ]
 
 _DENSE_T_LIMIT = 200
-# Reciprocal (tridiagonal) or kernel (dense) eigenvalues at or below this
-# are discarded as the removed constant mode or numerical noise.
+# Reciprocal (tridiagonal) or kernel (dense) eigenvalues at or below this,
+# on a support scaled to a spread in [1/2, 1), are discarded as the removed
+# constant mode or numerical noise.
 _EIG_ZERO_TOL = 1e-10
 _DRAW_BATCH = 1024
 # Terms M of each power series that sums the products outside the head
-# (see _Products.imhof_sums).
+# (see _NullLaw.imhof_sums).
 _SERIES_TERMS = 30
 # Far-tail level: the Chernoff bound is returned below it, and the Imhof
 # estimate, accurate to a tenth of it, is floored at it.
@@ -259,16 +265,21 @@ def kernel_eigenvalues(marginal: DiscreteMarginal, k_max: int) -> EigenSpectrum:
 
     Solves the positive definite tridiagonal system described in the
     module docstring; the reciprocals of its eigenvalues are the kernel
-    eigenvalues, with the constant mode excluded by construction.  Any
-    reciprocal mode at or below ``_EIG_ZERO_TOL`` is discarded as
-    numerically indistinguishable from degenerate.  A two-point marginal
+    eigenvalues, with the constant mode excluded by construction.  The
+    system is solved on the support divided by the power of two ``2**e``
+    with ``2**(e-1) <= x_t - x_1 < 2**e``, and the eigenvalues are
+    multiplied back: both steps are exact, so the spectrum follows the
+    data's units, and any reciprocal mode at or below ``_EIG_ZERO_TOL``
+    on that support is discarded as numerically indistinguishable from
+    degenerate, whatever the units.  A two-point marginal
     gives a 1 x 1 system whose one eigenvalue ``p_1 p_2 (x_2 - x_1)`` is
     its ``trace_target``.
     """
     if k_max < 1:
         raise DomainError(f"k_max must be at least 1, got {k_max}")
     t = marginal.t
-    gaps = np.diff(marginal.points)
+    exponent = math.frexp(marginal.points[-1] - marginal.points[0])[1]
+    gaps = np.ldexp(np.diff(marginal.points), -exponent)
     c = 1.0 / gaps
     if not np.all(np.isfinite(c)):
         raise DegenerateGrid("consecutive support points too close: infinite coefficient")
@@ -281,7 +292,7 @@ def kernel_eigenvalues(marginal: DiscreteMarginal, k_max: int) -> EigenSpectrum:
     mu = mu[mu > _EIG_ZERO_TOL]
     if mu.size == 0:
         raise EmptySpectrum("no eigenvalue exceeded the zero tolerance")
-    lambdas = 1.0 / mu
+    lambdas = np.ldexp(1.0 / mu, exponent)
     return EigenSpectrum(lambdas[:k_max], t, marginal.trace_target)
 
 
@@ -299,7 +310,8 @@ def dense_kernel_eigenvalues(marginal: DiscreteMarginal, k_max: int) -> EigenSpe
 
     Quadratic in t, so restricted to t <= 200.  Exists to cross-check
     :func:`kernel_eigenvalues`; production code should use the
-    tridiagonal solver.
+    tridiagonal solver.  Its kernel is scaled by the same power of two as
+    the support in :func:`kernel_eigenvalues`.
     """
     if k_max < 1:
         raise DomainError(f"k_max must be at least 1, got {k_max}")
@@ -307,14 +319,15 @@ def dense_kernel_eigenvalues(marginal: DiscreteMarginal, k_max: int) -> EigenSpe
     if t > _DENSE_T_LIMIT:
         raise DomainError(f"dense oracle limited to t <= {_DENSE_T_LIMIT}, got {t}")
     root_p = np.sqrt(marginal.probs)
-    kernel = _centered_kernel_matrix(marginal) * np.outer(root_p, root_p)
+    exponent = math.frexp(marginal.points[-1] - marginal.points[0])[1]
+    kernel = np.ldexp(_centered_kernel_matrix(marginal), -exponent) * np.outer(root_p, root_p)
     from scipy.linalg import eigh
 
     eigvals = eigh(kernel, eigvals_only=True)[::-1]
     eigvals = eigvals[eigvals > _EIG_ZERO_TOL]
     if eigvals.size == 0:
         raise EmptySpectrum("no eigenvalue exceeded the zero tolerance")
-    return EigenSpectrum(eigvals[:k_max], t, marginal.trace_target)
+    return EigenSpectrum(np.ldexp(eigvals[:k_max], exponent), t, marginal.trace_target)
 
 
 def _batch_generator(seed: SeedSpec, batch_index: int) -> np.random.Generator:
@@ -378,9 +391,10 @@ def null_pvalue(model: NullLimitModel, statistic: float) -> float:
     return (1 + model.r - below) / (model.r + 1)
 
 
-class _Products:
-    """The products ``w_ij = a_i b_j`` of two spectra scaled so ``a_0 =
-    b_0 = 1``, summed over all of them without forming them as one array.
+class _NullLaw:
+    """The null limit law of two spectra, fixed by their products ``w_ij =
+    a_i b_j`` scaled so ``a_0 = b_0 = 1``, summed over without forming them
+    as one array; a statistic and its centering only move the threshold.
 
     Level ``bits`` splits the products at ``tau = 2**-bits``.  Its head,
     the products ``w >= tau``, is kept as an array; the rest enter through
@@ -390,13 +404,19 @@ class _Products:
     r_i**p F_p[j_i]`` with ``r_i = a_i b_{j_i} / tau < 1`` and ``F_p[j] =
     sum_{j' >= j} (b_j' / b_j)**p`` in [1, k_y]: no factor overflows, and
     none underflows unless its term is negligible, however small tau is.
-    A level is built when first asked for and kept.
+    A level is built when first asked for and kept, as is the Chernoff
+    bound at each threshold.
     """
 
-    def __init__(self, lambdas: np.ndarray, etas: np.ndarray) -> None:
-        self.a = lambdas / lambdas[0]
-        self.b = etas / etas[0]
+    def __init__(self, lx: EigenSpectrum, ly: EigenSpectrum) -> None:
+        self.a = lx.lambdas / lx.lambdas[0]
+        self.b = ly.lambdas / ly.lambdas[0]
         self.total = float(self.a.sum() * self.b.sum())
+        # Unscaled: the mean of sum w Z^2, the mass left out, the largest w.
+        self._mean = lx.total * ly.total
+        self._left_out = lx.trace_target * ly.trace_target - self._mean
+        self._top = float(lx.lambdas[0] * ly.lambdas[0])
+        self._bounds: dict[float, float] = {}
         self.powers = np.arange(1, 2 * _SERIES_TERMS + 1)
         self._padded = np.append(self.b, 0.0)
         # F by a doubling scan of F[j] = 1 + (b_{j+1} / b_j)**p F[j + 1]:
@@ -456,52 +476,97 @@ class _Products:
         log = float(np.log1p(wu * wu).sum()) - z * even
         return arctan, log
 
+    def threshold(self, statistic: float, centered: bool) -> float:
+        """The ``q`` with ``P(S > statistic) = P(sum w Z^2 > q)`` for the
+        scaled products; see :func:`null_tail`."""
+        statistic = float(statistic)
+        if not math.isfinite(statistic):
+            raise DomainError(f"statistic must be finite, got {statistic!r}")
+        shifted = statistic + self._mean if centered else statistic - self._left_out
+        # P(sum w Z^2 > shifted) is scale free: work with the largest product 1.
+        q = shifted / self._top if self._top >= sys.float_info.min else math.nan
+        if not math.isfinite(q):
+            raise DomainError(f"no finite threshold: the largest product is {self._top!r}")
+        return q
+
+    def log_bound(self, q: float) -> float:
+        """Log of ``min_s exp(-s q) prod(1 - 2 s w)^(-1/2)``, the Chernoff
+        bound on ``P(sum w Z^2 > q)``; 0 at or below the mean ``sum w``.
+
+        The head at ``tau = 1/4`` is summed directly; outside it ``2 s w <
+        1/4``, and ``-log1p(-y) = sum_p y**p / p`` is summed from ``T_p``.
+        """
+        if q <= self.total:
+            return 0.0
+        bound = self._bounds.get(q)
+        if bound is None:
+            from scipy import optimize
+
+            head, series, _, _ = self.level(2)
+            best = optimize.minimize_scalar(
+                lambda s: -s * q - 0.5 * np.log1p(-2.0 * s * head).sum() + 0.5 * (series @ (0.5 * s) ** self.powers),
+                bounds=(0.0, 0.5 - 1e-13),
+                method="bounded",
+            )
+            bound = self._bounds[q] = min(best.fun, 0.0)
+        return bound
+
+    def tail(self, q: float) -> float:
+        """``P(sum w Z^2 > q)`` by the route :func:`null_tail` describes."""
+        from scipy import integrate
+
+        # The largest product alone exceeds q with probability erfc(sqrt(q / 2)),
+        # within 1e-15 of 1 for q up to 1e-30.
+        if q <= _TAIL_BOTTOM:
+            return 1.0
+        log_bound = self.log_bound(q)
+        if log_bound < math.log(_TAIL_FLOOR):
+            return max(math.exp(log_bound), sys.float_info.min)
+
+        def parts(u: float) -> tuple[float, float]:
+            arctan, log = self.imhof_sums(u)
+            return 0.5 * arctan, math.exp(-0.25 * log) / u
+
+        def integrand(u: float) -> float:
+            phase, decay = parts(u)
+            return math.sin(phase - 0.5 * q * u) * decay
+
+        cut = _TAIL_PERIODS * 4.0 * math.pi / q
+        # Decades of u as break points: for small q the range runs many
+        # decades past where the integrand is concentrated, and one rule
+        # over all of it samples none of that.
+        decades = [10.0**j for j in range(math.ceil(math.log10(cut)))] or None
+        tol = 0.1 * math.pi * _TAIL_FLOOR
+        total = integrate.quad(integrand, 0.0, cut, epsabs=tol, epsrel=0.0, limit=500, points=decades)[0]
+        # sin(phase - q u / 2) = sin(phase) cos(q u / 2) - cos(phase) sin(q u / 2).
+        # QAWF places both passes' nodes alike, so the first pass keeps the
+        # second's integrand at each of its nodes.
+        cos_parts: dict[float, float] = {}
+
+        def sin_part(u: float) -> float:
+            phase, decay = parts(u)
+            cos_parts[u] = math.cos(phase) * decay
+            return math.sin(phase) * decay
+
+        def cos_part(u: float) -> float:
+            if u in cos_parts:
+                return cos_parts.pop(u)
+            phase, decay = parts(u)
+            return math.cos(phase) * decay
+
+        # QAWF's error estimate is optimistic: asked for tol, one tied sample
+        # came out 4e-12 off.  Asked for 1e-13, a grid of 6480 tails over six
+        # families was clean; 1e-14 raised roundoff warnings.
+        total += integrate.quad(sin_part, cut, math.inf, weight="cos", wvar=0.5 * q, epsabs=1e-13)[0]
+        total -= integrate.quad(cos_part, cut, math.inf, weight="sin", wvar=0.5 * q, epsabs=1e-13)[0]
+        return min(1.0, max(0.5 + total / math.pi, _TAIL_FLOOR))
+
 
 def _power_table(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row i holds ``values[i]**p`` for ``p = 1 .. 2 M``, by running
     products: unlike a broadcast power, it allocates only the table."""
     shape = (values.size, 2 * _SERIES_TERMS)
     return np.cumprod(np.broadcast_to(values[:, None], shape), axis=1, out=out)
-
-
-def _tail_law(
-    lx: EigenSpectrum, ly: EigenSpectrum, statistic: float, centered: bool
-) -> tuple[_Products, float]:
-    """Products ``w`` of the null limit law and the threshold ``q`` with
-    ``P(S > statistic) = P(sum w Z^2 > q)``, both scaled so the largest
-    product is 1; see :func:`null_tail`."""
-    statistic = float(statistic)
-    if not math.isfinite(statistic):
-        raise DomainError(f"statistic must be finite, got {statistic!r}")
-    products = _Products(lx.lambdas, ly.lambdas)
-    total = lx.total * ly.total
-    if centered:
-        threshold = statistic + total
-    else:
-        threshold = statistic - (lx.trace_target * ly.trace_target - total)
-    # P(sum w Z^2 > threshold) is scale free: work with the largest product 1.
-    return products, threshold / (lx.lambdas[0] * ly.lambdas[0])
-
-
-def _log_chernoff(products: _Products, q: float) -> float:
-    """Log of ``min_s exp(-s q) prod(1 - 2 s w)^(-1/2)``, the Chernoff
-    bound on ``P(sum w Z^2 > q)``; 0 at or below the mean ``sum w``.
-
-    The head at ``tau = 1/4`` is summed directly; outside it ``2 s w <
-    1/4``, and ``-log1p(-y) = sum_p y**p / p`` is summed from ``T_p``.
-    """
-    from scipy import optimize
-
-    if q <= products.total:
-        return 0.0
-    head, series, _, _ = products.level(2)
-    powers = products.powers
-    best = optimize.minimize_scalar(
-        lambda s: -s * q - 0.5 * np.log1p(-2.0 * s * head).sum() + 0.5 * (series @ (0.5 * s) ** powers),
-        bounds=(0.0, 0.5 - 1e-13),
-        method="bounded",
-    )
-    return min(best.fun, 0.0)
 
 
 def null_tail_bound(
@@ -515,7 +580,8 @@ def null_tail_bound(
     the tail itself, so a caller that only compares the tail with a level
     can settle most large statistics from the bound alone.
     """
-    return math.exp(_log_chernoff(*_tail_law(lx, ly, statistic, centered)))
+    law = _NullLaw(lx, ly)
+    return math.exp(law.log_bound(law.threshold(statistic, centered)))
 
 
 def null_tail(
@@ -546,52 +612,12 @@ def null_tail(
     sine passes share their nodes and evaluate each once.  That
     estimate, accurate to about 1e-13, is floored at 1e-12, so the tail
     is strictly positive and non-increasing in ``statistic``.
+
+    The law works with the statistic and the products divided by the
+    largest product; with spectra from :func:`kernel_eigenvalues`, which
+    scales by a power of two, the tail does not depend on the data's
+    units.  A largest product that underflows to a subnormal or zero
+    leaves no finite threshold and raises ``DomainError``.
     """
-    from scipy import integrate
-
-    products, q = _tail_law(lx, ly, statistic, centered)
-    # The largest product alone exceeds q with probability erfc(sqrt(q / 2)),
-    # within 1e-15 of 1 for q up to 1e-30.
-    if q <= _TAIL_BOTTOM:
-        return 1.0
-    log_bound = _log_chernoff(products, q)
-    if log_bound < math.log(_TAIL_FLOOR):
-        return max(math.exp(log_bound), sys.float_info.min)
-
-    def parts(u: float) -> tuple[float, float]:
-        arctan, log = products.imhof_sums(u)
-        return 0.5 * arctan, math.exp(-0.25 * log) / u
-
-    def integrand(u: float) -> float:
-        phase, decay = parts(u)
-        return math.sin(phase - 0.5 * q * u) * decay
-
-    cut = _TAIL_PERIODS * 4.0 * math.pi / q
-    # Decades of u as break points: for small q the range runs many
-    # decades past where the integrand is concentrated, and one rule
-    # over all of it samples none of that.
-    decades = [10.0**j for j in range(math.ceil(math.log10(cut)))] or None
-    tol = 0.1 * math.pi * _TAIL_FLOOR
-    total = integrate.quad(integrand, 0.0, cut, epsabs=tol, epsrel=0.0, limit=500, points=decades)[0]
-    # sin(phase - q u / 2) = sin(phase) cos(q u / 2) - cos(phase) sin(q u / 2).
-    # QAWF places both passes' nodes alike, so the first pass keeps the
-    # second's integrand at each of its nodes.
-    cos_parts: dict[float, float] = {}
-
-    def sin_part(u: float) -> float:
-        phase, decay = parts(u)
-        cos_parts[u] = math.cos(phase) * decay
-        return math.sin(phase) * decay
-
-    def cos_part(u: float) -> float:
-        if u in cos_parts:
-            return cos_parts.pop(u)
-        phase, decay = parts(u)
-        return math.cos(phase) * decay
-
-    # QAWF's error estimate is optimistic: asked for tol, one tied sample
-    # came out 4e-12 off.  Asked for 1e-13, a grid of 6480 tails over six
-    # families was clean; 1e-14 raised roundoff warnings.
-    total += integrate.quad(sin_part, cut, math.inf, weight="cos", wvar=0.5 * q, epsabs=1e-13)[0]
-    total -= integrate.quad(cos_part, cut, math.inf, weight="sin", wvar=0.5 * q, epsabs=1e-13)[0]
-    return min(1.0, max(0.5 + total / math.pi, _TAIL_FLOOR))
+    law = _NullLaw(lx, ly)
+    return law.tail(law.threshold(statistic, centered))

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kappacov import (
+    AllValuesEqual,
     DegenerateMarginal,
     FamilySpec,
     PairedSample,
@@ -20,6 +21,7 @@ from kappacov import (
     compute_ustats,
     delta1_plugin,
     estimate,
+    independence_test,
     kappa_hat,
     kappa_star,
     kappa_tilde,
@@ -108,6 +110,15 @@ def test_input_scale_property(data):
             scaled_rho = rho_estimates(scaled)
             assert abs(scaled_rho.rho_hat - rho.rho_hat) <= 1e-12
             assert abs(scaled_rho.rho_tilde - rho.rho_tilde) <= 1e-12
+        # The asymptotic p-value does not depend on the units either.
+        name = data.draw(st.sampled_from(["star", "tilde", "hat"]), label="estimator")
+        try:
+            p_value = independence_test(base, name, method="asymptotic_null").p_value
+        except AllValuesEqual:
+            with pytest.raises(AllValuesEqual):
+                independence_test(scaled, name, method="asymptotic_null")
+        else:
+            assert abs(independence_test(scaled, name, method="asymptotic_null").p_value - p_value) <= 1e-9
 
         shift_x, shift_y = offset * c, offset * d
         shifted = PairedSample(scaled.xs + shift_x, scaled.ys + shift_y)

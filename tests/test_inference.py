@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from kappacov import inference, ustats
+from kappacov import inference, spectral, ustats
 from kappacov import (
     DomainError,
     FamilySpec,
@@ -307,6 +307,34 @@ def test_asymptotic_power_matches_its_tests():
         )
         assert 0 < hits < 100
         assert report.power_for("normal", 0.45, estimator).power == hits / 100
+
+
+def test_asymptotic_replicate_asks_one_law_per_cell(monkeypatch):
+    # Every estimator of a cell asks the cell's one null law for its bound
+    # and tail, and the law minimises each threshold's Chernoff bound once.
+    from scipy import optimize
+
+    laws, minimisations = [], []
+    build, minimize = spectral._NullLaw.__init__, optimize.minimize_scalar
+
+    def counting_build(law, lx, ly):
+        laws.append(law)
+        build(law, lx, ly)
+
+    def counting_minimize(*args, **kwargs):
+        minimisations.append(args)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(spectral._NullLaw, "__init__", counting_build)
+    monkeypatch.setattr(optimize, "minimize_scalar", counting_minimize)
+    grid = tuple(FamilySpec(family, theta) for family in ("normal", "chisquare") for theta in (0.0, 0.6))
+    names = inference.ESTIMATOR_NAMES
+    for stream in range(4):
+        laws.clear()
+        minimisations.clear()
+        inference._power_replicate(stream, SeedSpec(31), grid, 60, "asymptotic_null", 199, 0.05, 30, names)
+        assert len(laws) == len(grid)
+        assert 0 < len(minimisations) <= len(grid) * len(names)
 
 
 def test_power_study_validation():

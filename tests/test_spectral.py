@@ -31,7 +31,7 @@ from kappacov import (
     sample_family,
 )
 from kappacov.spectral import (
-    _Products,
+    _NullLaw,
     dense_kernel_eigenvalues,
     null_limit_model,
     null_pvalue,
@@ -354,6 +354,11 @@ def test_null_tail_arguments():
         null_tail(lx, ly, float("nan"), centered=True)
     with pytest.raises(DomainError):
         null_tail_bound(lx, ly, float("inf"), centered=True)
+    # A largest product that underflows leaves no finite threshold.
+    tiny = EigenSpectrum(np.array([1e-160]), 2, 1e-160)
+    for tail in (null_tail, null_tail_bound):
+        with pytest.raises(DomainError):
+            tail(tiny, tiny, 0.0, centered=True)
 
 
 # --- the tail against direct sums over every product -------------------------------
@@ -375,7 +380,7 @@ def _direct_threshold(lx, ly, statistic, centered):
     return (statistic + offset) / (lx.lambdas[0] * ly.lambdas[0])
 
 
-def _direct_log_chernoff(w, q):
+def _direct_log_bound(w, q):
     from scipy import optimize
 
     if q <= w.sum():
@@ -393,7 +398,7 @@ def _direct_tail(lx, ly, statistic, centered):
     q = _direct_threshold(lx, ly, statistic, centered)
     if q <= 1e-30:
         return 1.0
-    log_bound = _direct_log_chernoff(w, q)
+    log_bound = _direct_log_bound(w, q)
     if log_bound < math.log(1e-12):
         return max(math.exp(log_bound), sys.float_info.min)
 
@@ -435,7 +440,8 @@ def test_imhof_sums_match_the_direct_sums(lambdas, etas, u):
     # Phase and log-decay of Imhof's integrand are these two sums over
     # the scaled products, times 1/2 and -1/4.
     w = np.outer(lambdas, etas).ravel() / (lambdas[0] * etas[0])
-    arctan, log = _Products(lambdas, etas).imhof_sums(u)
+    law = _NullLaw(*(EigenSpectrum(v, v.size + 1, float(v.sum())) for v in (lambdas, etas)))
+    arctan, log = law.imhof_sums(u)
     direct_arctan = float(np.arctan(w * u).sum())
     direct_log = float(np.log1p((w * u) ** 2).sum())
     assert abs(arctan - direct_arctan) <= 1e-13 * direct_arctan, (arctan, direct_arctan)
@@ -485,7 +491,7 @@ def test_null_tail_bound_matches_the_direct_chernoff():
         for lx, ly, statistic, centered in _stress_grid(x, y):
             bound = null_tail_bound(lx, ly, statistic, centered=centered)
             direct = math.exp(
-                _direct_log_chernoff(_direct_products(lx, ly), _direct_threshold(lx, ly, statistic, centered))
+                _direct_log_bound(_direct_products(lx, ly), _direct_threshold(lx, ly, statistic, centered))
             )
             assert abs(bound - direct) <= 1e-14 * direct, (lx.k, ly.k, statistic, centered, bound, direct)
 
