@@ -83,24 +83,19 @@ def _comma_list(text: str) -> list[str]:
     return items
 
 
-def _family_list(text: str) -> list[str]:
-    items = _comma_list(text)
-    for item in items:
-        if item not in FAMILIES:
-            raise argparse.ArgumentTypeError(
-                f"unknown family {item!r}; choose from {', '.join(FAMILIES)}"
-            )
-    return items
+def _choice_list(kind: str, choices: tuple[str, ...]):
+    """Argument type of a comma-separated list of ``choices``."""
 
+    def parse(text: str) -> list[str]:
+        items = _comma_list(text)
+        for item in items:
+            if item not in choices:
+                raise argparse.ArgumentTypeError(
+                    f"unknown {kind} {item!r}; choose from {', '.join(choices)}"
+                )
+        return items
 
-def _estimator_list(text: str) -> list[str]:
-    items = _comma_list(text)
-    for item in items:
-        if item not in ESTIMATOR_NAMES:
-            raise argparse.ArgumentTypeError(
-                f"unknown estimator {item!r}; choose from {', '.join(ESTIMATOR_NAMES)}"
-            )
-    return items
+    return parse
 
 
 def _float_list(text: str) -> list[float]:
@@ -316,13 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_kappa.set_defaults(handler=_cmd_kappa_theta)
 
     p_power = subparsers.add_parser("power", help="rejection-rate study over a theta grid")
-    p_power.add_argument("--families", type=_family_list, default=["normal"])
+    p_power.add_argument("--families", type=_choice_list("family", FAMILIES), default=["normal"])
     p_power.add_argument("--thetas", type=_float_list, default=[0.0, 0.25, 0.5])
     p_power.add_argument("--n", type=int, default=100)
     p_power.add_argument("--replicates", type=int, default=1000)
     p_power.add_argument("--alpha", type=float, default=0.05)
     p_power.add_argument(
-        "--estimators", type=_estimator_list, default=list(ESTIMATOR_NAMES)
+        "--estimators", type=_choice_list("estimator", ESTIMATOR_NAMES), default=list(ESTIMATOR_NAMES)
     )
     p_power.add_argument("--method", choices=tuple(_METHODS), default="permutation")
     p_power.add_argument("--b", type=int, default=199)
@@ -334,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = subparsers.add_parser("bench", help="estimator timing benchmark")
     p_bench.add_argument(
-        "--estimators", type=_estimator_list, default=list(ESTIMATOR_NAMES)
+        "--estimators", type=_choice_list("estimator", ESTIMATOR_NAMES), default=list(ESTIMATOR_NAMES)
     )
     p_bench.add_argument("--n", type=int, default=100)
     p_bench.add_argument("--evals", type=int, default=100)

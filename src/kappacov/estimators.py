@@ -33,7 +33,7 @@ import numpy as np
 from .core import PairedSample
 from .errors import DegenerateMarginal, SampleTooSmall
 from .ustats import UStatBundle, compute_ustats, differences
-from .ustats import _bundle_from_sums, _pair_row_sums, _sorted_row_sums
+from .ustats import _bundle_from_sums, _check_sums, _pair_row_sums, _sorted_row_sums
 
 __all__ = [
     "KappaEstimates",
@@ -206,6 +206,7 @@ def delta1_plugin(sample: PairedSample) -> float:
     n = sample.n
     if n < 3:
         raise SampleTooSmall(f"need at least 3 observations, got {n}")
+    _check_sums(sample.xs, sample.ys, squares=True)
     a, b = _sorted_row_sums(sample.xs), _sorted_row_sums(sample.ys)
     g1, g2, g12 = a / n, b / n, _pair_row_sums(sample) / n
     cond_x = _sorted_row_sums(sample.xs, b) / n / n
@@ -242,6 +243,7 @@ def _self_bundle(values: np.ndarray) -> UStatBundle:
     # sum_ij (v_i - v_j)^2 is 2n * sum_i (v_i - mean)^2, less the
     # n * (error)^2 a rounded mean adds (6e-8 near 1e9), so the sorted
     # row sums of the one difference matrix are all it needs.
+    _check_sums(values, values)
     row_totals = _sorted_row_sums(values)
     centered = values - values.mean()
     n = values.size

@@ -10,7 +10,8 @@ tie, since the two can differ by rounding alone.  The asymptotic route
 scales the statistic by n and refers it to the weighted chi-square null
 limit built from the empirical marginals, whose tail the sample's one
 null law (as in :func:`~kappacov.spectral.null_tail`) computes without
-simulation, so it ignores the permutation count ``b_or_r``.
+simulation, so it ignores the permutation count ``b_or_r``; a power
+study asks it only whether the tail is at most alpha.
 
 All three statistics inflate under dependence, so every test is
 one-sided in the upper tail.  A power study's replicate is a function
@@ -214,9 +215,9 @@ def _permutation_pvalues(
     return (1.0 + exceed) / (b + 1.0)
 
 
-def _asymptotic_null(sample: PairedSample, k: int) -> tuple[np.ndarray, _NullLaw]:
-    """n-scaled trio and the null limit law of the top-``k`` kernel
-    spectra of both marginals.
+def _asymptotic_null(sample: PairedSample, k: int, estimators) -> tuple:
+    """n-scaled trio, the null limit law of the top-``k`` kernel spectra
+    of both marginals, and the law's threshold for each named estimator.
 
     ``kappa_star`` and ``kappa_tilde`` refer to the centered null limit,
     ``kappa_hat`` to the uncentered one.
@@ -224,7 +225,9 @@ def _asymptotic_null(sample: PairedSample, k: int) -> tuple[np.ndarray, _NullLaw
     scaled = sample.n * np.array(kappa_trio(compute_ustats(sample)))
     lx = kernel_eigenvalues(empirical_marginal(sample.xs), k)
     ly = kernel_eigenvalues(empirical_marginal(sample.ys), k)
-    return scaled, _NullLaw(lx, ly)
+    law = _NullLaw(lx, ly)
+    thresholds = {name: law.threshold(scaled[ESTIMATOR_NAMES.index(name)], name != "hat") for name in estimators}
+    return scaled, law, thresholds
 
 
 def independence_test(
@@ -251,8 +254,8 @@ def independence_test(
         observed = kappa_trio(compute_ustats(sample))
         p_value = _permutation_pvalues(sample, b_or_r, seed.generator())[index]
     else:
-        observed, law = _asymptotic_null(sample, spectrum_k)
-        p_value = law.tail(law.threshold(observed[index], centered=estimator != "hat"))
+        observed, law, thresholds = _asymptotic_null(sample, spectrum_k, (estimator,))
+        p_value = law.tail(thresholds[estimator])
     return TestResult(
         statistic_name=f"kappa_{estimator}",
         statistic=float(observed[index]),
@@ -273,13 +276,9 @@ def _power_replicate(stream, seed, grid, n, method, b_or_r, alpha, spectrum_k, e
         if method == "permutation":
             rejected[ci] = _permutation_pvalues(sample, b_or_r, rng) <= alpha
         else:
-            observed, law = _asymptotic_null(sample, spectrum_k)
-            for name in estimators:
-                i = ESTIMATOR_NAMES.index(name)
-                q = law.threshold(observed[i], centered=name != "hat")
-                # The tail is at most its Chernoff bound, which the law keeps:
-                # it settles most strong-signal replicates without Imhof's integral.
-                rejected[ci, i] = math.exp(law.log_bound(q)) <= alpha or law.tail(q) <= alpha
+            _, law, thresholds = _asymptotic_null(sample, spectrum_k, estimators)
+            for name, q in thresholds.items():
+                rejected[ci, ESTIMATOR_NAMES.index(name)] = law.tail(q, level=alpha) <= alpha
     return rejected
 
 
@@ -304,9 +303,9 @@ def power_study(
     cells (common random numbers), and all three statistics are computed
     from the same permutations within a cell.
     With the asymptotic method each cell's sample gives one null law,
-    which every estimator asks for its tail bound
-    (:func:`~kappacov.spectral.null_tail_bound`) and, only where that is
-    above ``alpha``, its exact tail: the same outcome as the tail alone.
+    which every estimator asks once for its tail at level ``alpha``: a
+    Chernoff bound below ``alpha`` settles the rejection without Imhof's
+    integral, with the same outcome as the exact tail.
     """
     grid = tuple(grid)
     if not grid:

@@ -27,13 +27,14 @@ The limit law is fixed by the two spectra: one ``_NullLaw`` per pair
 gives a statistic's threshold, a Chernoff bound for the far tail, and
 the upper tail of either law exactly, by Imhof's (1961) inversion of
 the characteristic function over every product ``lambda_i * eta_j``;
-:func:`null_tail` and :func:`null_tail_bound` each ask one.  The law
-never forms the products as one array: at each point of the integral
-the few large products are summed directly and the rest by power
-series whose coefficients are power sums of the two spectra, truncated
-below 1e-19 of their sums and kept, as is each threshold's bound.  The
-two Fourier-weighted passes of the integral share their nodes, so each
-is evaluated once.
+:func:`null_tail` asks one.  Asked for the tail at a level, it returns
+a Chernoff bound below that level without the integral: the far-tail
+exit at 1e-12 and a power study's test at alpha are one route.  The
+law never forms the products as one array: at each point of the
+integral the few large products are summed directly and the rest by
+power series whose coefficients are power sums of the two spectra,
+truncated below 1e-19 of their sums and kept.  The two Fourier-weighted
+passes of the integral share their nodes, so each is evaluated once.
 :func:`null_limit_model` draws the same law by Monte Carlo and is kept
 as the oracle the exact tail is tested against.
 
@@ -72,7 +73,6 @@ __all__ = [
     "null_limit_model",
     "null_pvalue",
     "null_tail",
-    "null_tail_bound",
 ]
 
 _DENSE_T_LIMIT = 200
@@ -84,8 +84,8 @@ _DRAW_BATCH = 1024
 # Terms M of each power series that sums the products outside the head
 # (see _NullLaw.imhof_sums).
 _SERIES_TERMS = 30
-# Far-tail level: the Chernoff bound is returned below it, and the Imhof
-# estimate, accurate to a tenth of it, is floored at it.
+# Far-tail level: by default the Chernoff bound is returned below it, and
+# the Imhof estimate, accurate to a tenth of it, is floored at it.
 _TAIL_FLOOR = 1e-12
 # Periods of cos(q u / 2) integrated plainly before a Fourier-weighted tail.
 _TAIL_PERIODS = 10
@@ -404,8 +404,7 @@ class _NullLaw:
     r_i**p F_p[j_i]`` with ``r_i = a_i b_{j_i} / tau < 1`` and ``F_p[j] =
     sum_{j' >= j} (b_j' / b_j)**p`` in [1, k_y]: no factor overflows, and
     none underflows unless its term is negligible, however small tau is.
-    A level is built when first asked for and kept, as is the Chernoff
-    bound at each threshold.
+    A level is built when first asked for and kept.
     """
 
     def __init__(self, lx: EigenSpectrum, ly: EigenSpectrum) -> None:
@@ -416,7 +415,6 @@ class _NullLaw:
         self._mean = lx.total * ly.total
         self._left_out = lx.trace_target * ly.trace_target - self._mean
         self._top = float(lx.lambdas[0] * ly.lambdas[0])
-        self._bounds: dict[float, float] = {}
         self.powers = np.arange(1, 2 * _SERIES_TERMS + 1)
         self._padded = np.append(self.b, 0.0)
         # F by a doubling scan of F[j] = 1 + (b_{j+1} / b_j)**p F[j + 1]:
@@ -498,21 +496,20 @@ class _NullLaw:
         """
         if q <= self.total:
             return 0.0
-        bound = self._bounds.get(q)
-        if bound is None:
-            from scipy import optimize
+        from scipy import optimize
 
-            head, series, _, _ = self.level(2)
-            best = optimize.minimize_scalar(
-                lambda s: -s * q - 0.5 * np.log1p(-2.0 * s * head).sum() + 0.5 * (series @ (0.5 * s) ** self.powers),
-                bounds=(0.0, 0.5 - 1e-13),
-                method="bounded",
-            )
-            bound = self._bounds[q] = min(best.fun, 0.0)
-        return bound
+        head, series, _, _ = self.level(2)
+        best = optimize.minimize_scalar(
+            lambda s: -s * q - 0.5 * np.log1p(-2.0 * s * head).sum() + 0.5 * (series @ (0.5 * s) ** self.powers),
+            bounds=(0.0, 0.5 - 1e-13),
+            method="bounded",
+        )
+        return min(best.fun, 0.0)
 
-    def tail(self, q: float) -> float:
-        """``P(sum w Z^2 > q)`` by the route :func:`null_tail` describes."""
+    def tail(self, q: float, level: float = _TAIL_FLOOR) -> float:
+        """``P(sum w Z^2 > q)`` by the route :func:`null_tail` describes, but
+        the Chernoff bound wherever it is below ``level``: whether the tail
+        is at most ``level`` is answered alike, without Imhof's integral."""
         from scipy import integrate
 
         # The largest product alone exceeds q with probability erfc(sqrt(q / 2)),
@@ -520,7 +517,7 @@ class _NullLaw:
         if q <= _TAIL_BOTTOM:
             return 1.0
         log_bound = self.log_bound(q)
-        if log_bound < math.log(_TAIL_FLOOR):
+        if log_bound < math.log(level):
             return max(math.exp(log_bound), sys.float_info.min)
 
         def parts(u: float) -> tuple[float, float]:
@@ -569,21 +566,6 @@ def _power_table(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     return np.cumprod(np.broadcast_to(values[:, None], shape), axis=1, out=out)
 
 
-def null_tail_bound(
-    lx: EigenSpectrum, ly: EigenSpectrum, statistic: float, centered: bool
-) -> float:
-    """Chernoff upper bound on :func:`null_tail`, without its integral.
-
-    It runs over every product, the few at least a quarter of the largest
-    directly and the rest through their power sums (see
-    :func:`null_tail`).  Far out in the tail it costs a small fraction of
-    the tail itself, so a caller that only compares the tail with a level
-    can settle most large statistics from the bound alone.
-    """
-    law = _NullLaw(lx, ly)
-    return math.exp(law.log_bound(law.threshold(statistic, centered)))
-
-
 def null_tail(
     lx: EigenSpectrum,
     ly: EigenSpectrum,
@@ -604,14 +586,14 @@ def null_tail(
     dozen where the integral lives, are summed directly, and the rest by
     30 terms of two alternating series in ``u^2`` whose coefficients are
     power sums of the two spectra (each series cut below 1e-19 of its
-    sum).  If the Chernoff bound (:func:`null_tail_bound`) is below
-    1e-12, it is returned.  Otherwise Imhof's (1961) integral is taken
-    plainly over 10 periods of its oscillation, split at decades of its
-    variable, and the rest, which decays slowly when few products
-    dominate, with a Fourier weight (QUADPACK's QAWF), whose cosine and
-    sine passes share their nodes and evaluate each once.  That
-    estimate, accurate to about 1e-13, is floored at 1e-12, so the tail
-    is strictly positive and non-increasing in ``statistic``.
+    sum).  If the law's Chernoff bound is below 1e-12, it is returned.
+    Otherwise Imhof's (1961) integral is taken plainly over 10 periods of
+    its oscillation, split at decades of its variable, and the rest,
+    which decays slowly when few products dominate, with a Fourier weight
+    (QUADPACK's QAWF), whose cosine and sine passes share their nodes and
+    evaluate each once.  That estimate, accurate to about 1e-13, is
+    floored at 1e-12, so the tail is strictly positive and non-increasing
+    in ``statistic``.
 
     The law works with the statistic and the products divided by the
     largest product; with spectra from :func:`kernel_eigenvalues`, which

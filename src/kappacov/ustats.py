@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PairedSample
-from .errors import SampleTooSmall
+from .errors import DomainError, SampleTooSmall
 
 __all__ = [
     "UStatBundle",
@@ -371,6 +371,24 @@ def _pair_row_sums(sample: PairedSample) -> np.ndarray:
     return sums - every
 
 
+def _check_sums(xs: np.ndarray, ys: np.ndarray, squares: bool = False) -> None:
+    """Raise ``DomainError`` if a sum over the columns could overflow.
+
+    With R a column's range and n its length, each row sum ``a_i`` or
+    ``b_i`` is at most n R, the sums of ``a`` and ``b`` at most n**2 R, and
+    the cross sum ``a @ b`` at most n**3 R_x R_y, which also bounds the
+    pair sums (the sort kernel's terms stay below 14 n**2 R_x R_y from
+    ``_SORT_MIN_N`` on).  With ``squares``, the plug-in variance's squared
+    deviations sum to at most 36 n (R_x R_y)**2.  The bound is formed in
+    Python floats, which saturate to inf without a warning.
+    """
+    n = xs.size
+    rx, ry = (float(v.max()) - float(v.min()) for v in (xs, ys))
+    bound = n * n * (n * rx * ry + rx + ry) + (36.0 * n * (rx * ry) * (rx * ry) if squares else 0.0)
+    if not math.isfinite(bound):
+        raise DomainError(f"sums over the sample overflow float64: n = {n}, column ranges {rx:.3g} and {ry:.3g}")
+
+
 def _sweep(sample: PairedSample, perms: np.ndarray) -> tuple:
     """The sums of ``a`` and ``b``, and the pair and cross sums of
     ``(xs, ys[perm])`` for every row ``perm`` of ``perms``.
@@ -385,6 +403,7 @@ def _sweep(sample: PairedSample, perms: np.ndarray) -> tuple:
     """
     if sample.n < 3:
         raise SampleTooSmall(f"need at least 3 observations, got {sample.n}")
+    _check_sums(sample.xs, sample.ys)
     a, b = _sorted_row_sums(sample.xs), _sorted_row_sums(sample.ys)
     width, pair_sums = (
         _gather_kernel(sample) if sample.n < _SORT_MIN_N else _sort_kernel(sample, b)

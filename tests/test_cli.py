@@ -11,6 +11,7 @@ import pytest
 
 from kappacov import (
     FamilySpec,
+    PairedSample,
     SeedSpec,
     discretize_marginal,
     estimate,
@@ -34,9 +35,18 @@ def sample_csv(tmp_path):
     return str(path), sample
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def invoke(capsys, argv):
+    """Exit code, stdout and stderr of one CLI run; JSON output must parse
+    strictly, with no NaN or Infinity."""
     code = run(argv)
     captured = capsys.readouterr()
+    fmt = argv[argv.index("--output") + 1] if "--output" in argv else "json"
+    if code == 0 and fmt == "json":
+        json.loads(captured.out, parse_constant=_reject_constant)
     return code, captured.out, captured.err
 
 
@@ -321,6 +331,53 @@ def test_studies_reject_nonpositive_n(capsys, argv):
     assert len(err.splitlines()) == 1
     assert err.startswith("NOnPositive: ")
     assert "Traceback" not in err
+
+
+@pytest.fixture
+def overflow_csvs(tmp_path):
+    rng = np.random.default_rng(29)
+    x, noise = rng.normal(size=50), rng.normal(size=50)
+    paths = {}
+    for name, xs, ys in (("huge", x * 1e155, noise * 1e155), ("squared", x * 1e78, (x + noise) * 1e78)):
+        paths[name] = str(tmp_path / f"{name}.csv")
+        write_sample(paths[name], PairedSample(xs, ys))
+    return paths
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("huge", ["estimate"]),
+        ("huge", ["estimate", "--rho"]),
+        ("huge", ["test", "--b", "99"]),
+        ("huge", ["test", "--method", "asymptotic"]),
+        ("squared", ["estimate", "--variance"]),
+    ],
+)
+def test_overflowing_sums_exit_1(capsys, overflow_csvs, name, argv):
+    code, out, err = invoke(capsys, argv + ["--input", overflow_csvs[name]])
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("DomainError: ") and "overflow" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["power", "--families", "normal,foo"],
+            "argument --families: unknown family 'foo'; choose from "
+            "normal, uniform, exponential, laplace, logistic, chisquare",
+        ),
+        (["bench", "--estimators", "star,x"], "argument --estimators: unknown estimator 'x'; choose from star, tilde, hat"),
+        (["power", "--estimators", ","], "argument --estimators: expected a nonempty comma-separated list"),
+    ],
+)
+def test_list_flags_name_their_choices(capsys, argv, message):
+    code, out, err = invoke(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == f"kappacov {argv[0]}: error: {message}"
 
 
 def test_bench_reports(capsys):

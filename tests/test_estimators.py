@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from kappacov import (
     AllValuesEqual,
     DegenerateMarginal,
+    DomainError,
     FamilySpec,
     PairedSample,
     SampleTooSmall,
@@ -317,3 +318,31 @@ def test_rho_degenerate_marginal():
     sample = PairedSample(np.zeros(10), np.arange(10.0))
     with pytest.raises(DegenerateMarginal):
         rho_estimates(sample)
+
+
+def test_overflowing_sums_raise_domain_error():
+    # Every sum is bounded from n and the column ranges before any
+    # arithmetic, so data whose sums would overflow raise a named error
+    # instead of giving NaN or inf, and warn nothing.
+    rng = np.random.default_rng(29)
+    x, noise = rng.normal(size=50), rng.normal(size=50)
+    huge = PairedSample(x * 1e155, noise * 1e155)
+    calls = (
+        compute_ustats, kappa_star, estimate, delta1_plugin, rho_estimates,
+        lambda s: independence_test(s, b_or_r=99),
+        lambda s: independence_test(s, method="asymptotic_null"),
+    )
+    for call in calls:
+        with pytest.raises(DomainError, match="overflow"):
+            call(huge)
+    # The kappas scale as the square of the units and stay finite; the
+    # plug-in variance scales as the fourth power and would not.
+    squared = PairedSample(x * 1e78, (x + noise) * 1e78)
+    assert math.isfinite(estimate(squared).kappa_star)
+    with pytest.raises(DomainError, match="overflow"):
+        estimate(squared, with_variance=True)
+    # A self-coefficient squares one column's units.
+    lopsided = PairedSample(x * 1e154, noise)
+    assert math.isfinite(estimate(lopsided).kappa_star)
+    with pytest.raises(DomainError, match="overflow"):
+        rho_estimates(lopsided)

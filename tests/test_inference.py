@@ -297,6 +297,7 @@ def test_asymptotic_power_matches_its_tests():
         [spec], n=n, replicates=100, method="asymptotic_null", b_or_r=1000,
         seed=seed, estimators=("star", "hat"), spectrum_k=20,
     )
+    routes = set()
     for estimator in ("star", "hat"):
         hits = sum(
             independence_test(
@@ -307,11 +308,19 @@ def test_asymptotic_power_matches_its_tests():
         )
         assert 0 < hits < 100
         assert report.power_for("normal", 0.45, estimator).power == hits / 100
+        for r in range(100):
+            sample = sample_family(spec, n, SeedSpec(23, 5 + r))
+            _, law, thresholds = inference._asymptotic_null(sample, 20, (estimator,))
+            q = thresholds[estimator]
+            routes.add((math.exp(law.log_bound(q)) <= 0.05, law.tail(q) <= 0.05))
+    # Some rejections are settled by the bound alone, and some only by
+    # Imhof's integral.
+    assert {(True, True), (False, True), (False, False)} <= routes
 
 
 def test_asymptotic_replicate_asks_one_law_per_cell(monkeypatch):
-    # Every estimator of a cell asks the cell's one null law for its bound
-    # and tail, and the law minimises each threshold's Chernoff bound once.
+    # Every estimator of a cell asks the cell's one null law for its tail at
+    # level alpha, which minimises the threshold's Chernoff bound once.
     from scipy import optimize
 
     laws, minimisations = [], []
