@@ -33,7 +33,7 @@ import numpy as np
 from .core import PairedSample
 from .errors import DegenerateMarginal, SampleTooSmall
 from .ustats import UStatBundle, compute_ustats, differences
-from .ustats import _bundle_from_sums, _check_sums, _pair_row_sums, _sorted_row_sums
+from .ustats import _bundle_from_sums, _in_units, _pair_row_sums, _sorted_row_sums, _unit
 
 __all__ = [
     "KappaEstimates",
@@ -75,10 +75,11 @@ class RhoEstimates:
     n: int
 
 
-def _as_bundle(data: PairedSample | UStatBundle) -> UStatBundle:
+def _unit_bundle(data: PairedSample | UStatBundle) -> tuple[UStatBundle, int]:
     if isinstance(data, UStatBundle):
-        return data
-    return compute_ustats(data)
+        return data, 0
+    unit, ex, ey = _unit(data)
+    return compute_ustats(unit), ex + ey
 
 
 def kappa_star(data: PairedSample | UStatBundle) -> float:
@@ -87,14 +88,14 @@ def kappa_star(data: PairedSample | UStatBundle) -> float:
     Accepts a sample, or a precomputed bundle when several statistics
     share one :func:`~kappacov.ustats.compute_ustats` call.
     """
-    bundle = _as_bundle(data)
-    return 0.25 * (bundle.u12 + bundle.u1 * bundle.u2 - 2.0 * bundle.u3)
+    bundle, e = _unit_bundle(data)
+    return _in_units(0.25 * (bundle.u12 + bundle.u1 * bundle.u2 - 2.0 * bundle.u3), e)
 
 
 def kappa_tilde(data: PairedSample | UStatBundle) -> float:
     """Leave-type centered estimate via its exact finite-n relation to
     :func:`kappa_star`."""
-    bundle = _as_bundle(data)
+    bundle, e = _unit_bundle(data)
     n = bundle.n
     nm1 = n - 1.0
     correction = 0.25 * (
@@ -102,13 +103,13 @@ def kappa_tilde(data: PairedSample | UStatBundle) -> float:
         + 2.0 / nm1**2 * bundle.u3
         + 2.0 / nm1 * bundle.u1 * bundle.u2
     )
-    return kappa_star(bundle) + correction
+    return _in_units(kappa_star(bundle) + correction, e)
 
 
 def kappa_hat(data: PairedSample | UStatBundle) -> float:
     """Fully centered estimate from the with-replacement means."""
-    bundle = _as_bundle(data)
-    return 0.25 * (bundle.v12 - 2.0 * bundle.v3 + bundle.v1 * bundle.v2)
+    bundle, e = _unit_bundle(data)
+    return _in_units(0.25 * (bundle.v12 - 2.0 * bundle.v3 + bundle.v1 * bundle.v2), e)
 
 
 def kappa_hat_relation(data: PairedSample | UStatBundle) -> float:
@@ -117,7 +118,7 @@ def kappa_hat_relation(data: PairedSample | UStatBundle) -> float:
     Exact finite-n identity; useful as an independent route when
     validating the with-replacement reductions.
     """
-    bundle = _as_bundle(data)
+    bundle, e = _unit_bundle(data)
     n = bundle.n
     square = float(n) * n
     correction = 0.25 * (
@@ -125,13 +126,13 @@ def kappa_hat_relation(data: PairedSample | UStatBundle) -> float:
         - 2.0 * (2.0 - 3.0 * n) / square * bundle.u3
         + (1.0 - 2.0 * n) / square * bundle.u1 * bundle.u2
     )
-    return kappa_star(bundle) + correction
+    return _in_units(kappa_star(bundle) + correction, e)
 
 
 def kappa_trio(data: PairedSample | UStatBundle) -> tuple[float, float, float]:
     """(kappa_star, kappa_tilde, kappa_hat) from one shared bundle."""
-    bundle = _as_bundle(data)
-    return kappa_star(bundle), kappa_tilde(bundle), kappa_hat(bundle)
+    bundle, e = _unit_bundle(data)
+    return tuple(_in_units(f(bundle), e) for f in (kappa_star, kappa_tilde, kappa_hat))
 
 
 def statistic_scale(data: PairedSample | UStatBundle) -> float:
@@ -142,8 +143,8 @@ def statistic_scale(data: PairedSample | UStatBundle) -> float:
     this is the correct denominator floor when comparing two computation
     routes in relative terms near a zero crossing.
     """
-    bundle = _as_bundle(data)
-    return 0.25 * (bundle.u12 + 2.0 * bundle.u3 + bundle.u1 * bundle.u2)
+    bundle, e = _unit_bundle(data)
+    return _in_units(0.25 * (bundle.u12 + 2.0 * bundle.u3 + bundle.u1 * bundle.u2), e)
 
 
 def kappa_tilde_direct(sample: PairedSample) -> float:
@@ -206,13 +207,13 @@ def delta1_plugin(sample: PairedSample) -> float:
     n = sample.n
     if n < 3:
         raise SampleTooSmall(f"need at least 3 observations, got {n}")
-    _check_sums(sample.xs, sample.ys, squares=True)
+    sample, ex, ey = _unit(sample)
     a, b = _sorted_row_sums(sample.xs), _sorted_row_sums(sample.ys)
     g1, g2, g12 = a / n, b / n, _pair_row_sums(sample) / n
     cond_x = _sorted_row_sums(sample.xs, b) / n / n
     cond_y = _sorted_row_sums(sample.ys, a) / n / n
     projection = g12 + g1.mean() * g2 + g2.mean() * g1 - cond_x - cond_y - g1 * g2
-    return 0.25 * float(projection.var())
+    return _in_units(0.25 * float(projection.var()), 2 * (ex + ey))
 
 
 def estimate(sample: PairedSample, with_variance: bool = False) -> KappaEstimates:
@@ -243,7 +244,6 @@ def _self_bundle(values: np.ndarray) -> UStatBundle:
     # sum_ij (v_i - v_j)^2 is 2n * sum_i (v_i - mean)^2, less the
     # n * (error)^2 a rounded mean adds (6e-8 near 1e9), so the sorted
     # row sums of the one difference matrix are all it needs.
-    _check_sums(values, values)
     row_totals = _sorted_row_sums(values)
     centered = values - values.mean()
     n = values.size
@@ -260,8 +260,9 @@ def rho_estimates(sample: PairedSample) -> RhoEstimates:
     DegenerateMarginal
         If either marginal is constant, making a self-coefficient zero.
     """
-    both = compute_ustats(sample)
-    self_x, self_y = _self_bundle(sample.xs), _self_bundle(sample.ys)
+    unit = _unit(sample)[0]
+    both = compute_ustats(unit)
+    self_x, self_y = _self_bundle(unit.xs), _self_bundle(unit.ys)
 
     hat_x, hat_y = kappa_hat(self_x), kappa_hat(self_y)
     tilde_x, tilde_y = kappa_tilde(self_x), kappa_tilde(self_y)
@@ -273,7 +274,7 @@ def rho_estimates(sample: PairedSample) -> RhoEstimates:
             "a marginal is constant; normalized coefficients are undefined"
         )
 
-    # One root per factor: the self-coefficients' product under- or overflows near 1e+-80.
+    # One root per factor fixes rho's last bits; in the unit, the product would fit.
     rho_hat = _clip_rho(kappa_hat(both) / (math.sqrt(hat_x) * math.sqrt(hat_y)), 0.0)
     rho_tilde = _clip_rho(kappa_tilde(both) / (math.sqrt(tilde_x) * math.sqrt(tilde_y)), -1.0)
     return RhoEstimates(rho_hat=rho_hat, rho_tilde=rho_tilde, n=sample.n)

@@ -46,7 +46,7 @@ from .estimators import (
 )
 from .samplers import _draw
 from .spectral import _NullLaw, empirical_marginal, kernel_eigenvalues
-from .ustats import compute_ustats, permutation_bundles
+from .ustats import _in_units, _unit, compute_ustats, permutation_bundles
 
 __all__ = [
     "TestResult",
@@ -197,34 +197,34 @@ class TimingReport:
 
 
 def _permutation_pvalues(
-    sample: PairedSample, b: int, rng: np.random.Generator
+    unit: PairedSample, b: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """The three permutation p-values of the trio from one sweep over the
-    identity, which gives the observed trio, and ``b`` permutations drawn
-    one ``rng.permutation`` call at a time."""
-    n = sample.n
+    """The three permutation p-values of a unit sample's trio from one sweep
+    over the identity, which gives the observed trio, and ``b``
+    permutations drawn one ``rng.permutation`` call at a time."""
+    n = unit.n
     # The smallest unsigned type that holds every index keeps B x n small.
     perms = np.empty((b + 1, n), dtype=np.min_scalar_type(n - 1))
     perms[0] = np.arange(n)
     for row in perms[1:]:
         row[:] = rng.permutation(n)
-    bundles = permutation_bundles(sample, perms)
+    bundles = permutation_bundles(unit, perms)
     trio = np.array(kappa_trio(bundles))
     floor = trio[:, :1] - _TIE_TOLERANCE * statistic_scale(bundles)[0]
     exceed = np.count_nonzero(trio[:, 1:] >= floor, axis=1)
     return (1.0 + exceed) / (b + 1.0)
 
 
-def _asymptotic_null(sample: PairedSample, k: int, estimators) -> tuple:
-    """n-scaled trio, the null limit law of the top-``k`` kernel spectra
-    of both marginals, and the law's threshold for each named estimator.
+def _asymptotic_null(unit: PairedSample, k: int, estimators) -> tuple:
+    """n-scaled trio of a unit sample, the null limit law of the top-``k``
+    kernel spectra of both marginals, and each named estimator's threshold.
 
     ``kappa_star`` and ``kappa_tilde`` refer to the centered null limit,
     ``kappa_hat`` to the uncentered one.
     """
-    scaled = sample.n * np.array(kappa_trio(compute_ustats(sample)))
-    lx = kernel_eigenvalues(empirical_marginal(sample.xs), k)
-    ly = kernel_eigenvalues(empirical_marginal(sample.ys), k)
+    scaled = unit.n * np.array(kappa_trio(compute_ustats(unit)))
+    lx = kernel_eigenvalues(empirical_marginal(unit.xs), k)
+    ly = kernel_eigenvalues(empirical_marginal(unit.ys), k)
     law = _NullLaw(lx, ly)
     thresholds = {name: law.threshold(scaled[ESTIMATOR_NAMES.index(name)], name != "hat") for name in estimators}
     return scaled, law, thresholds
@@ -250,15 +250,17 @@ def independence_test(
         raise SampleTooSmall(f"independence test needs n >= 3, got {sample.n}")
     b_or_r = _check_b_or_r(b_or_r)
     index = ESTIMATOR_NAMES.index(estimator)
+    unit, ex, ey = _unit(sample)
     if method == "permutation":
-        observed = kappa_trio(compute_ustats(sample))
-        p_value = _permutation_pvalues(sample, b_or_r, seed.generator())[index]
+        observed = kappa_trio(compute_ustats(unit))
+        p_value = _permutation_pvalues(unit, b_or_r, seed.generator())[index]
     else:
-        observed, law, thresholds = _asymptotic_null(sample, spectrum_k, (estimator,))
+        observed, law, thresholds = _asymptotic_null(unit, spectrum_k, (estimator,))
+        del unit  # the tail, where this test's memory peaks, needs no copy of the sample
         p_value = law.tail(thresholds[estimator])
     return TestResult(
         statistic_name=f"kappa_{estimator}",
-        statistic=float(observed[index]),
+        statistic=_in_units(float(observed[index]), ex + ey),
         method=method,
         p_value=float(p_value),
         n=sample.n,
@@ -272,7 +274,7 @@ def _power_replicate(stream, seed, grid, n, method, b_or_r, alpha, spectrum_k, e
     rng = SeedSpec(seed.master_seed, stream).generator()
     rejected = np.zeros((len(grid), len(ESTIMATOR_NAMES)), dtype=np.int64)
     for ci, spec in enumerate(grid):
-        sample = PairedSample(*_draw(spec, n, rng))
+        sample = _unit(PairedSample(*_draw(spec, n, rng)))[0]
         if method == "permutation":
             rejected[ci] = _permutation_pvalues(sample, b_or_r, rng) <= alpha
         else:

@@ -19,8 +19,8 @@ mode structurally instead of relying on a numerical threshold to
 separate it (at t = 1000 the spurious mode computes to about 6e-11,
 uncomfortably close to any fixed cutoff).  A dense eigendecomposition
 of the kernel matrix itself is kept as an independent oracle.  Both
-solve on the support divided by a power of two near its spread and
-scale the eigenvalues back, exactly, so a spectrum follows the data's
+solve on the support divided by ``ustats._unit_exponent``'s power of two
+and scale the eigenvalues back, exactly, so a spectrum follows the data's
 units and its zero cut does not.
 
 The limit law is fixed by the two spectra: one ``_NullLaw`` per pair
@@ -60,7 +60,7 @@ from .errors import (
     NonMonotoneQuantile,
     SampleTooSmall,
 )
-from .ustats import differences
+from .ustats import _unit_exponent, differences
 
 __all__ = [
     "DiscreteMarginal",
@@ -110,7 +110,7 @@ class DiscreteMarginal:
             raise DegenerateGrid("a discrete marginal needs at least 2 support points")
         if not np.all(np.isfinite(points)):
             raise DomainError("support points must be finite")
-        if np.any(np.diff(points) <= 0.0):
+        if np.any(points[1:] <= points[:-1]):
             raise DegenerateGrid("support points must be strictly increasing")
         if not np.all(np.isfinite(probs)) or np.any(probs <= 0.0):
             raise DomainError("probabilities must be finite and positive")
@@ -131,11 +131,11 @@ class DiscreteMarginal:
         """E|X - X'| for two independent copies.
 
         Uses the layer-cake form sum over gaps of 2 F (1 - F), linear in
-        t rather than quadratic.
+        t rather than quadratic; the gaps of the halved points cannot overflow.
         """
         cdf = np.cumsum(self.probs)[:-1]
-        gaps = np.diff(self.points)
-        return float(2.0 * np.sum(gaps * cdf * (1.0 - cdf)))
+        half_gaps = np.diff(0.5 * self.points)
+        return float(4.0 * np.sum(half_gaps * cdf * (1.0 - cdf)))
 
     @property
     def trace_target(self) -> float:
@@ -265,25 +265,26 @@ def kernel_eigenvalues(marginal: DiscreteMarginal, k_max: int) -> EigenSpectrum:
 
     Solves the positive definite tridiagonal system described in the
     module docstring; the reciprocals of its eigenvalues are the kernel
-    eigenvalues, with the constant mode excluded by construction.  The
-    system is solved on the support divided by the power of two ``2**e``
-    with ``2**(e-1) <= x_t - x_1 < 2**e``, and the eigenvalues are
-    multiplied back: both steps are exact, so the spectrum follows the
-    data's units, and any reciprocal mode at or below ``_EIG_ZERO_TOL``
-    on that support is discarded as numerically indistinguishable from
-    degenerate, whatever the units.  A two-point marginal
-    gives a 1 x 1 system whose one eigenvalue ``p_1 p_2 (x_2 - x_1)`` is
-    its ``trace_target``.
+    eigenvalues, with the constant mode excluded by construction.  It is
+    solved on the support divided by ``2**e`` for its
+    :func:`~kappacov.ustats._unit_exponent`, and the eigenvalues are
+    multiplied back, both exactly, so the spectrum follows the data's
+    units, and a reciprocal mode at or below ``_EIG_ZERO_TOL`` there is
+    discarded whatever the units.  A two-point marginal gives a 1 x 1
+    system whose one eigenvalue ``p_1 p_2 (x_2 - x_1)`` is its
+    ``trace_target``.
     """
     if k_max < 1:
         raise DomainError(f"k_max must be at least 1, got {k_max}")
     t = marginal.t
-    exponent = math.frexp(marginal.points[-1] - marginal.points[0])[1]
-    gaps = np.ldexp(np.diff(marginal.points), -exponent)
-    c = 1.0 / gaps
-    if not np.all(np.isfinite(c)):
-        raise DegenerateGrid("consecutive support points too close: infinite coefficient")
+    exponent = _unit_exponent(marginal.points)
+    gaps = np.diff(np.ldexp(marginal.points, -exponent))
     p = marginal.probs
+    # Every gap * p and gap * neighbouring gap above 4 / max keeps c = 1 / gap and all entries finite.
+    floor = min((gaps * np.minimum(p[:-1], p[1:])).min(), (gaps[:-1] * gaps[1:]).min(initial=1.0))
+    if floor <= 4.0 / sys.float_info.max:
+        raise DegenerateGrid("consecutive support points too close: infinite coefficient")
+    c = 1.0 / gaps
     diag = c * (1.0 / p[:-1] + 1.0 / p[1:])
     off = -np.sqrt(c[:-1] * c[1:]) / p[1:-1]
     from scipy.linalg import eigvalsh_tridiagonal
@@ -296,13 +297,12 @@ def kernel_eigenvalues(marginal: DiscreteMarginal, k_max: int) -> EigenSpectrum:
     return EigenSpectrum(lambdas[:k_max], t, marginal.trace_target)
 
 
-def _centered_kernel_matrix(marginal: DiscreteMarginal) -> np.ndarray:
-    x = marginal.points
-    p = marginal.probs
+def _weighted_kernel_matrix(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     absdiff = differences(x)
     g = absdiff @ p
     grand = float(p @ g)
-    return -0.5 * (absdiff - np.add.outer(g, g) + grand)
+    root_p = np.sqrt(p)
+    return -0.5 * (absdiff - np.add.outer(g, g) + grand) * np.outer(root_p, root_p)
 
 
 def dense_kernel_eigenvalues(marginal: DiscreteMarginal, k_max: int) -> EigenSpectrum:
@@ -310,17 +310,16 @@ def dense_kernel_eigenvalues(marginal: DiscreteMarginal, k_max: int) -> EigenSpe
 
     Quadratic in t, so restricted to t <= 200.  Exists to cross-check
     :func:`kernel_eigenvalues`; production code should use the
-    tridiagonal solver.  Its kernel is scaled by the same power of two as
-    the support in :func:`kernel_eigenvalues`.
+    tridiagonal solver.  Its kernel is built on the support scaled as in
+    :func:`kernel_eigenvalues`.
     """
     if k_max < 1:
         raise DomainError(f"k_max must be at least 1, got {k_max}")
     t = marginal.t
     if t > _DENSE_T_LIMIT:
         raise DomainError(f"dense oracle limited to t <= {_DENSE_T_LIMIT}, got {t}")
-    root_p = np.sqrt(marginal.probs)
-    exponent = math.frexp(marginal.points[-1] - marginal.points[0])[1]
-    kernel = np.ldexp(_centered_kernel_matrix(marginal), -exponent) * np.outer(root_p, root_p)
+    exponent = _unit_exponent(marginal.points)
+    kernel = _weighted_kernel_matrix(np.ldexp(marginal.points, -exponent), marginal.probs)
     from scipy.linalg import eigh
 
     eigvals = eigh(kernel, eigvals_only=True)[::-1]

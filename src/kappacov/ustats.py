@@ -28,9 +28,10 @@ from one sort per column, :func:`_sorted_row_sums`.  From
 ``_SORT_MIN_N`` observations on, one merge sort, :func:`_merge_levels`,
 gives the pair sums with no n^2 table or pass; below, a gather from the
 two difference tables does.  The plug-in variance takes its row-level
-sums from the same sorts and merge sort, in :func:`_sorted_row_sums` and
-:func:`_pair_row_sums`.  :func:`differences` is the one place a
-difference matrix is built.
+sums from :func:`_sorted_row_sums` and :func:`_pair_row_sums`.
+:func:`differences` is the one place a difference matrix is built.
+Every sum is taken on the :func:`_unit` sample, below n**3 in any units,
+and :func:`_in_units` scales a result back exactly or raises DomainError.
 """
 
 from __future__ import annotations
@@ -91,24 +92,47 @@ class UStatBundle:
 
 
 def _bundle_from_sums(
-    n: int, sum_x: float, sum_y: float, pair_prod: float, cross: float
+    n: int, sum_x: float, sum_y: float, pair_prod: float, cross: float, ex: int = 0, ey: int = 0
 ) -> UStatBundle:
     # sum_x, sum_y: full ordered-pair sums (2x the unordered sums);
     # pair_prod: sum over ordered pairs of |dx| * |dy|;
-    # cross: sum_i a_i * b_i.
+    # cross: sum_i a_i * b_i; all on columns divided by 2**ex and 2**ey.
     pairs = n * (n - 1)
     square = float(n) * n
     return UStatBundle(
-        u1=sum_x / pairs,
-        u2=sum_y / pairs,
-        u12=pair_prod / pairs,
-        u3=(cross - pair_prod) / (pairs * (n - 2)),
-        v1=sum_x / square,
-        v2=sum_y / square,
-        v12=pair_prod / square,
-        v3=cross / (square * n),
+        u1=_in_units(sum_x / pairs, ex),
+        u2=_in_units(sum_y / pairs, ey),
+        u12=_in_units(pair_prod / pairs, ex + ey),
+        u3=_in_units((cross - pair_prod) / (pairs * (n - 2)), ex + ey),
+        v1=_in_units(sum_x / square, ex),
+        v2=_in_units(sum_y / square, ey),
+        v12=_in_units(pair_prod / square, ex + ey),
+        v3=_in_units(cross / (square * n), ex + ey),
         n=n,
     )
+
+
+def _unit_exponent(values: np.ndarray) -> int:
+    """The ``e`` with ``2**(e-1) <= spread < 2**e`` of ``values`` from their halved
+    extremes, so that it cannot overflow, or of the value of a constant column."""
+    high, low = 0.5 * float(values.max()), 0.5 * float(values.min())
+    return math.frexp(high - low or high)[1] + 1
+
+
+def _unit(sample: PairedSample) -> tuple:
+    """The sample with each column divided exactly by its ``2**e`` (:func:`_unit_exponent`); ``ex``, ``ey``."""
+    ex, ey = _unit_exponent(sample.xs), _unit_exponent(sample.ys)
+    return (PairedSample(np.ldexp(sample.xs, -ex), np.ldexp(sample.ys, -ey)) if ex or ey else sample), ex, ey
+
+
+def _in_units(value, e: int):
+    """``value * 2**e`` exactly, or ``DomainError`` where that is no normal float64."""
+    if isinstance(value, np.ndarray):
+        return np.array([_in_units(v, e) for v in value.tolist()]) if e else value
+    mantissa, exponent = math.frexp(value)
+    if e and mantissa and not -1021 <= exponent + e <= 1024:
+        raise DomainError(f"a result {'under' if e < 0 else 'over'}flows float64 in the data's units (2**{e})")
+    return math.ldexp(value, e)
 
 
 def differences(values: np.ndarray) -> np.ndarray:
@@ -131,8 +155,8 @@ def compute_ustats(sample: PairedSample) -> UStatBundle:
     SampleTooSmall
         If ``sample.n < 3``.
     """
-    sum_x, sum_y, pair_prod, cross = _sweep(sample, np.arange(sample.n)[None, :])
-    return _bundle_from_sums(sample.n, sum_x, sum_y, float(pair_prod[0]), float(cross[0]))
+    sum_x, sum_y, pair_prod, cross, ex, ey = _sweep(sample, np.arange(sample.n)[None, :])
+    return _bundle_from_sums(sample.n, sum_x, sum_y, float(pair_prod[0]), float(cross[0]), ex, ey)
 
 
 def _symmetrized_triple(xi, xj, xk, yi, yj, yk) -> float:
@@ -371,27 +395,9 @@ def _pair_row_sums(sample: PairedSample) -> np.ndarray:
     return sums - every
 
 
-def _check_sums(xs: np.ndarray, ys: np.ndarray, squares: bool = False) -> None:
-    """Raise ``DomainError`` if a sum over the columns could overflow.
-
-    With R a column's range and n its length, each row sum ``a_i`` or
-    ``b_i`` is at most n R, the sums of ``a`` and ``b`` at most n**2 R, and
-    the cross sum ``a @ b`` at most n**3 R_x R_y, which also bounds the
-    pair sums (the sort kernel's terms stay below 14 n**2 R_x R_y from
-    ``_SORT_MIN_N`` on).  With ``squares``, the plug-in variance's squared
-    deviations sum to at most 36 n (R_x R_y)**2.  The bound is formed in
-    Python floats, which saturate to inf without a warning.
-    """
-    n = xs.size
-    rx, ry = (float(v.max()) - float(v.min()) for v in (xs, ys))
-    bound = n * n * (n * rx * ry + rx + ry) + (36.0 * n * (rx * ry) * (rx * ry) if squares else 0.0)
-    if not math.isfinite(bound):
-        raise DomainError(f"sums over the sample overflow float64: n = {n}, column ranges {rx:.3g} and {ry:.3g}")
-
-
 def _sweep(sample: PairedSample, perms: np.ndarray) -> tuple:
-    """The sums of ``a`` and ``b``, and the pair and cross sums of
-    ``(xs, ys[perm])`` for every row ``perm`` of ``perms``.
+    """Sums of ``a`` and ``b``, and pair and cross sums of ``(xs, ys[perm])``
+    per row of ``perms``, on the :func:`_unit` sample; and its ``ex``, ``ey``.
 
     The matrix-vector products go through BLAS, which blocks rows, so a
     row's sums can change in the last bit with the rows that share its
@@ -403,7 +409,7 @@ def _sweep(sample: PairedSample, perms: np.ndarray) -> tuple:
     """
     if sample.n < 3:
         raise SampleTooSmall(f"need at least 3 observations, got {sample.n}")
-    _check_sums(sample.xs, sample.ys)
+    sample, ex, ey = _unit(sample)
     a, b = _sorted_row_sums(sample.xs), _sorted_row_sums(sample.ys)
     width, pair_sums = (
         _gather_kernel(sample) if sample.n < _SORT_MIN_N else _sort_kernel(sample, b)
@@ -415,7 +421,7 @@ def _sweep(sample: PairedSample, perms: np.ndarray) -> tuple:
         chunk = perms[start : start + step].astype(np.intp)
         pair_prod[start : start + step] = pair_sums(chunk)
         cross[start : start + step] = b[chunk] @ a
-    return float(a.sum()), float(b.sum()), pair_prod, cross
+    return float(a.sum()), float(b.sum()), pair_prod, cross, ex, ey
 
 
 def permutation_bundles(sample: PairedSample, perms: np.ndarray) -> UStatBundle:
@@ -425,11 +431,8 @@ def permutation_bundles(sample: PairedSample, perms: np.ndarray) -> UStatBundle:
     ``range(n)``.  Returns one :class:`UStatBundle` in which the fields
     that a permutation moves, ``u12``, ``u3``, ``v12`` and ``v3``, are
     length-``B`` arrays, so the estimator formulas apply to it unchanged.
-    The row sums ``a`` and ``b`` come from one sort per column at every
-    n; the pair sums from the table gather below ``_SORT_MIN_N``
-    observations and from the sort kernel from there on; the cross sums
-    are ``b[perm] @ a``.  Permutations are swept in chunks of bounded
-    size (``_SWEEP_ELEMENTS``).
+    The sweep the module docstring describes runs in chunks of
+    ``_SWEEP_ELEMENTS``; the cross sums are ``b[perm] @ a``.
 
     Raises
     ------

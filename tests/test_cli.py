@@ -338,7 +338,11 @@ def overflow_csvs(tmp_path):
     rng = np.random.default_rng(29)
     x, noise = rng.normal(size=50), rng.normal(size=50)
     paths = {}
-    for name, xs, ys in (("huge", x * 1e155, noise * 1e155), ("squared", x * 1e78, (x + noise) * 1e78)):
+    # Each kappa leaves float64 at "huge", and delta1_hat at "squared".
+    for name, xs, ys in (
+        ("huge", np.ldexp(x, 520), np.ldexp(noise, 520)),
+        ("squared", np.ldexp(x, 260), np.ldexp(x + noise, 260)),
+    ):
         paths[name] = str(tmp_path / f"{name}.csv")
         write_sample(paths[name], PairedSample(xs, ys))
     return paths
@@ -360,6 +364,30 @@ def test_overflowing_sums_exit_1(capsys, overflow_csvs, name, argv):
     assert len(err.splitlines()) == 1
     assert err.startswith("DomainError: ") and "overflow" in err
     assert "Traceback" not in err
+
+
+def test_eigen_columns_whose_range_overflows(capsys, tmp_path):
+    # Each range below, 2e308, overflows.  The spread is taken from halved
+    # extremes and the gaps of the support divided by its power of two, so
+    # the spectrum follows the data's units and sums to its trace target.
+    def eigen(column):
+        path = str(tmp_path / "wide.csv")
+        write_sample(path, PairedSample(column, np.arange(float(len(column)))))
+        return invoke(capsys, ["eigen", "--marginal", "empirical", "--input", path])
+
+    for column in ([-1e308, 1e308, 1e308, 1e308], [-1e308, 0.0, 5e307, 1e308]):
+        code, out, err = eigen(np.array(column))
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert math.isclose(payload["sum_lambdas"], payload["trace_target"], rel_tol=1e-12)
+    # With 46 normals added, the normals' gaps on that support are
+    # subnormal: the coefficients are checked before any division, so the
+    # command names the grid and warns nothing.
+    column = np.concatenate([[-1e308, 0.0, 5e307, 1e308], np.random.default_rng(3).normal(size=46)])
+    code, out, err = eigen(column)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("DegenerateGrid: ")
 
 
 @pytest.mark.parametrize(

@@ -37,7 +37,7 @@ from kappacov.estimators import (
     statistic_scale,
 )
 from kappacov.ustats import compute_ustats_bruteforce
-from kappacov import ustats
+from kappacov import inference, ustats
 from conftest import random_paired_sample, random_spec, rel_err
 
 HAND_SAMPLE = PairedSample(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0]))
@@ -143,6 +143,100 @@ def test_input_scale_property(data):
             rho = rho_estimates(moved)
             oracle = _rho_by_three_bundles(moved)
             assert np.abs(np.subtract((rho.rho_hat, rho.rho_tilde), oracle)).max() <= 1e-12
+
+
+def _exact_ldexp(value: float, e: int):
+    """``value * 2**e`` where that is a finite float that keeps every bit
+    of ``value``, else None."""
+    try:
+        scaled = math.ldexp(value, e)
+    except OverflowError:
+        return None
+    return scaled if math.ldexp(scaled, -e) == value else None
+
+
+def _assert_scaled(call, base_values, exponents, read=lambda result: [result]):
+    """``read(call())`` is the exact ``ldexp`` of each base value by its
+    exponent, or ``call()`` raises ``DomainError`` where one of them leaves
+    float64.  Returns the result, or None where it raised."""
+    expected = [_exact_ldexp(v, e) for v, e in zip(base_values, exponents)]
+    if None in expected:
+        with pytest.raises(DomainError, match="overflows|underflows"):
+            call()
+        return None
+    result = call()
+    assert read(result) == expected
+    return result
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_power_of_two_scale_property(data):
+    # Columns scaled by 2**kx and 2**ky, each exponent anywhere in
+    # [-1000, 1000]: the engine works on each column divided by a power of
+    # two near its spread, so p-values, rho and the asymptotic power
+    # decisions do not move, and kappas, bundle fields, delta1_hat and the
+    # tests' statistics are the exact ldexp of the unscaled ones, or raise
+    # DomainError where that leaves float64.  Each example forces one
+    # kernel of the sweep.
+    n = data.draw(st.integers(3, 24), label="n")
+    untied = st.integers(-50_000, 50_000).map(lambda v: v / 1000.0)
+    tied = st.integers(0, 2).map(float)
+    columns = []
+    for name in ("x", "y"):
+        values = data.draw(st.sampled_from([untied, tied]), label=f"{name} values")
+        columns.append(np.array(data.draw(st.lists(values, min_size=n, max_size=n), label=name)))
+    base = PairedSample(*columns)
+    kx, ky = (data.draw(st.integers(-1000, 1000), label=label) for label in ("kx", "ky"))
+    scaled = PairedSample(np.ldexp(base.xs, kx), np.ldexp(base.ys, ky))
+    exy = kx + ky
+    cut = data.draw(st.sampled_from([0, 10**9]), label="_SORT_MIN_N")
+    with mock.patch.object(ustats, "_SORT_MIN_N", cut):
+        fields = ("u1", "u2", "u12", "u3", "v1", "v2", "v12", "v3")
+        bundle = compute_ustats(base)
+        _assert_scaled(
+            lambda: compute_ustats(scaled), [getattr(bundle, f) for f in fields],
+            [kx, ky, exy, exy, kx, ky, exy, exy], lambda result: [getattr(result, f) for f in fields],
+        )
+        values = estimate(base, with_variance=True)
+        for estimator in (kappa_star, kappa_tilde, kappa_hat):
+            _assert_scaled(lambda: estimator(scaled), [getattr(values, estimator.__name__)], [exy])
+        _assert_scaled(lambda: delta1_plugin(scaled), [values.delta1_hat], [2 * exy])
+
+        try:
+            rho = rho_estimates(base)
+        except DegenerateMarginal:
+            with pytest.raises(DegenerateMarginal):
+                rho_estimates(scaled)
+        else:
+            assert rho_estimates(scaled) == rho
+
+        name = data.draw(st.sampled_from(["star", "tilde", "hat"]), label="estimator")
+        for method in ("permutation", "asymptotic_null"):
+            args = (name, method, 99, SeedSpec(1), 20)
+            try:
+                result = independence_test(base, *args)
+            except AllValuesEqual:
+                with pytest.raises(AllValuesEqual):
+                    independence_test(scaled, *args)
+                continue
+            moved = _assert_scaled(
+                lambda: independence_test(scaled, *args), [result.statistic], [exy],
+                lambda result: [result.statistic],
+            )
+            assert moved is None or moved.p_value == result.p_value, method
+
+        # A power study's replicate decides on its unit sample, which the
+        # scaling does not move unless a column is constant, so its decisions
+        # do not move either.
+        if np.ptp(base.xs) > 0.0 and np.ptp(base.ys) > 0.0:
+            units = [ustats._unit(sample)[0] for sample in (base, scaled)]
+            assert all(np.array_equal(u.xs, units[0].xs) and np.array_equal(u.ys, units[0].ys) for u in units)
+            decisions = []
+            for unit in units:
+                _, law, thresholds = inference._asymptotic_null(unit, 20, ("star", "tilde", "hat"))
+                decisions.append([law.tail(q, level=0.05) <= 0.05 for q in thresholds.values()])
+            assert decisions[0] == decisions[1]
 
 
 def test_kappa_hat_is_nonnegative(rng):
@@ -321,28 +415,43 @@ def test_rho_degenerate_marginal():
 
 
 def test_overflowing_sums_raise_domain_error():
-    # Every sum is bounded from n and the column ranges before any
-    # arithmetic, so data whose sums would overflow raise a named error
-    # instead of giving NaN or inf, and warn nothing.
+    # Every sum is taken on columns divided by a power of two near their
+    # spread, so no sum overflows; a result is scaled back exactly, and
+    # raises a named error, warning nothing, only where it leaves float64
+    # in the data's units.
     rng = np.random.default_rng(29)
     x, noise = rng.normal(size=50), rng.normal(size=50)
-    huge = PairedSample(x * 1e155, noise * 1e155)
+    base, dependent = PairedSample(x, noise), PairedSample(x, x + noise)
+    huge = PairedSample(np.ldexp(x, 520), np.ldexp(noise, 520))
     calls = (
-        compute_ustats, kappa_star, estimate, delta1_plugin, rho_estimates,
+        compute_ustats, kappa_star, estimate, delta1_plugin,
         lambda s: independence_test(s, b_or_r=99),
         lambda s: independence_test(s, method="asymptotic_null"),
     )
     for call in calls:
         with pytest.raises(DomainError, match="overflow"):
             call(huge)
-    # The kappas scale as the square of the units and stay finite; the
-    # plug-in variance scales as the fourth power and would not.
-    squared = PairedSample(x * 1e78, (x + noise) * 1e78)
-    assert math.isfinite(estimate(squared).kappa_star)
+    # rho does not depend on units, so it is computed at any scale.
+    assert rho_estimates(huge) == rho_estimates(base)
+    tiny = PairedSample(np.ldexp(x, -520), np.ldexp(noise, -520))
+    with pytest.raises(DomainError, match="underflow"):
+        estimate(tiny)
+    assert rho_estimates(tiny) == rho_estimates(base)
+    # The kappas scale as the square of the units and stay exact; the
+    # plug-in variance scales as the fourth power and overflows.
+    squared = PairedSample(np.ldexp(x, 260), np.ldexp(x + noise, 260))
+    assert estimate(squared).kappa_star == math.ldexp(estimate(dependent).kappa_star, 520)
     with pytest.raises(DomainError, match="overflow"):
         estimate(squared, with_variance=True)
-    # A self-coefficient squares one column's units.
-    lopsided = PairedSample(x * 1e154, noise)
-    assert math.isfinite(estimate(lopsided).kappa_star)
-    with pytest.raises(DomainError, match="overflow"):
-        rho_estimates(lopsided)
+    # A permutation test whose statistic fits gives the unscaled p-value.
+    scaled, result = (
+        independence_test(PairedSample(np.ldexp(x, k), np.ldexp(x + noise, k)), b_or_r=99)
+        for k in (500, 0)
+    )
+    assert scaled.statistic == math.ldexp(result.statistic, 1000)
+    assert scaled.p_value == result.p_value
+    # rho is computed in the unit, where no self-coefficient squares a
+    # column's units.
+    lopsided = PairedSample(np.ldexp(x, 1000), noise)
+    assert estimate(lopsided).kappa_star == math.ldexp(estimate(base).kappa_star, 1000)
+    assert rho_estimates(lopsided) == rho_estimates(base)

@@ -1,0 +1,105 @@
+"""Print every kappacov output over a fixed grid of samples as hex-float JSON.
+
+Run from the repository root, once per tree to compare, and diff the two
+outputs; an empty diff means the trees agree bit for bit:
+
+    python3 tools/identity_grid.py > new.json
+    python3 tools/identity_grid.py --src /path/to/other/src > old.json
+    diff old.json new.json
+
+The grid covers n in {3, 20, 107, 108, 500} (both sides of the sweep's
+kernel switch), each with untied normal columns, columns tied to three
+values, and columns offset by 1e9.  For each sample it records the
+bundle, the three estimates with ``delta1_hat``, rho, and both tests'
+p-values and statistics for each estimator; then one permutation and one
+asymptotic ``PowerReport``, each serial and with ``threads=2``.  Every
+float is written by ``float.hex``, and an error by its class name and
+message, so any change in any bit shows.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import json
+import sys
+from pathlib import Path
+
+SIZES = (3, 20, 107, 108, 500)
+
+
+def _hex(value):
+    """``value`` with every float, numpy ones included, as a hex string."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _hex(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {str(key): _hex(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_hex(item) for item in value]
+    if hasattr(value, "tolist"):
+        return _hex(value.tolist())
+    if isinstance(value, float):
+        return float.hex(value)
+    return value
+
+
+def _outcome(call):
+    """``call()`` in hex, or the name and message of the error it raises."""
+    try:
+        return _hex(call())
+    except Exception as exc:  # noqa: BLE001 - every error is part of the output
+        return {"error": type(exc).__name__, "message": str(exc)}
+
+
+def _samples(kc):
+    for n in SIZES:
+        base = kc.sample_family(kc.FamilySpec("normal", 0.5), n, kc.SeedSpec(n))
+        yield f"untied n={n}", base
+        yield f"tied n={n}", kc.PairedSample(
+            (base.xs > 0.0) + (base.xs > 1.0), (base.ys > -0.5) + (base.ys > 0.5)
+        )
+        yield f"offset n={n}", kc.PairedSample(base.xs + 1e9, base.ys - 1e9)
+
+
+def grid(kc) -> dict:
+    out = {}
+    for label, sample in _samples(kc):
+        row = {
+            "bundle": _outcome(lambda: kc.compute_ustats(sample)),
+            "estimates": _outcome(lambda: kc.estimate(sample, with_variance=True)),
+            "rho": _outcome(lambda: kc.rho_estimates(sample)),
+        }
+        for method in ("permutation", "asymptotic_null"):
+            for name in ("star", "tilde", "hat"):
+                row[f"{method} {name}"] = _outcome(
+                    lambda: kc.independence_test(sample, name, method, 999, kc.SeedSpec(3))
+                )
+        out[label] = row
+    cells = [kc.FamilySpec("normal", 0.0), kc.FamilySpec("normal", 0.4)]
+    for method, b in (("permutation", 99), ("asymptotic_null", 99)):
+        for threads in (1, 2):
+            out[f"power {method} threads={threads}"] = _outcome(
+                lambda: kc.power_study(
+                    cells, n=30, replicates=100, method=method, b_or_r=b,
+                    seed=kc.SeedSpec(11), threads=threads,
+                )
+            )
+    return out
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--src", default=str(Path(__file__).resolve().parents[1] / "src"),
+        help="directory that holds the kappacov package (default: this tree's src)",
+    )
+    args = parser.parse_args()
+    sys.path.insert(0, args.src)
+    import kappacov
+
+    json.dump(grid(kappacov), sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
+
+
+if __name__ == "__main__":
+    main()
