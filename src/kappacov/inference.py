@@ -1,9 +1,9 @@
 """Independence testing, power studies, normality diagnostics, timing.
 
 The permutation test is exact under the null: the second coordinate is
-permuted with the first held fixed, all B permuted statistics and the
-observed one come from one sweep over the permutations
-(:func:`~kappacov.ustats.permutation_bundles`), and the p-value is
+permuted with the first held fixed, one sweep over B draws
+(:func:`~kappacov.ustats.permutation_bundles`) gives the permuted
+statistics, the sample's one bundle the observed one, and the p-value is
 ``(1 + #{permuted >= observed}) / (B + 1)``, where a permuted statistic
 within ``1e-12 * statistic_scale`` below the observed one counts as a
 tie, since the two can differ by rounding alone.  The asymptotic route
@@ -46,7 +46,7 @@ from .estimators import (
 )
 from .samplers import _draw
 from .spectral import _NullLaw, empirical_marginal, kernel_eigenvalues
-from .ustats import _in_units, _unit, compute_ustats, permutation_bundles
+from .ustats import UStatBundle, _in_units, _unit, compute_ustats, permutation_bundles
 
 __all__ = [
     "TestResult",
@@ -197,32 +197,29 @@ class TimingReport:
 
 
 def _permutation_pvalues(
-    unit: PairedSample, b: int, rng: np.random.Generator
+    unit: PairedSample, observed: UStatBundle, b: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """The three permutation p-values of a unit sample's trio from one sweep
-    over the identity, which gives the observed trio, and ``b``
-    permutations drawn one ``rng.permutation`` call at a time."""
+    """The three permutation p-values of a unit sample with bundle ``observed``
+    from one sweep over ``b`` draws, those of ``b`` ``rng.permutation`` calls."""
     n = unit.n
     # The smallest unsigned type that holds every index keeps B x n small.
-    perms = np.empty((b + 1, n), dtype=np.min_scalar_type(n - 1))
-    perms[0] = np.arange(n)
-    for row in perms[1:]:
-        row[:] = rng.permutation(n)
-    bundles = permutation_bundles(unit, perms)
-    trio = np.array(kappa_trio(bundles))
-    floor = trio[:, :1] - _TIE_TOLERANCE * statistic_scale(bundles)[0]
-    exceed = np.count_nonzero(trio[:, 1:] >= floor, axis=1)
+    perms = np.empty((b, n), dtype=np.min_scalar_type(n - 1))
+    perms[:] = np.arange(n)
+    rng.permuted(perms, axis=1, out=perms)
+    trio = np.array(kappa_trio(permutation_bundles(unit, perms)))
+    floor = np.array(kappa_trio(observed))[:, None] - _TIE_TOLERANCE * statistic_scale(observed)
+    exceed = np.count_nonzero(trio >= floor, axis=1)
     return (1.0 + exceed) / (b + 1.0)
 
 
-def _asymptotic_null(unit: PairedSample, k: int, estimators) -> tuple:
-    """n-scaled trio of a unit sample, the null limit law of the top-``k``
-    kernel spectra of both marginals, and each named estimator's threshold.
+def _asymptotic_null(unit: PairedSample, observed: UStatBundle, k: int, estimators) -> tuple:
+    """n-scaled trio of ``observed``, a unit sample's bundle, the null limit
+    law of both marginals' top-``k`` spectra, and each estimator's threshold.
 
     ``kappa_star`` and ``kappa_tilde`` refer to the centered null limit,
     ``kappa_hat`` to the uncentered one.
     """
-    scaled = unit.n * np.array(kappa_trio(compute_ustats(unit)))
+    scaled = unit.n * np.array(kappa_trio(observed))
     lx = kernel_eigenvalues(empirical_marginal(unit.xs), k)
     ly = kernel_eigenvalues(empirical_marginal(unit.ys), k)
     law = _NullLaw(lx, ly)
@@ -251,16 +248,17 @@ def independence_test(
     b_or_r = _check_b_or_r(b_or_r)
     index = ESTIMATOR_NAMES.index(estimator)
     unit, ex, ey = _unit(sample)
+    observed = compute_ustats(unit)
     if method == "permutation":
-        observed = kappa_trio(compute_ustats(unit))
-        p_value = _permutation_pvalues(unit, b_or_r, seed.generator())[index]
+        trio = kappa_trio(observed)
+        p_value = _permutation_pvalues(unit, observed, b_or_r, seed.generator())[index]
     else:
-        observed, law, thresholds = _asymptotic_null(unit, spectrum_k, (estimator,))
+        trio, law, thresholds = _asymptotic_null(unit, observed, spectrum_k, (estimator,))
         del unit  # the tail, where this test's memory peaks, needs no copy of the sample
         p_value = law.tail(thresholds[estimator])
     return TestResult(
         statistic_name=f"kappa_{estimator}",
-        statistic=_in_units(float(observed[index]), ex + ey),
+        statistic=_in_units(float(trio[index]), ex + ey),
         method=method,
         p_value=float(p_value),
         n=sample.n,
@@ -275,10 +273,11 @@ def _power_replicate(stream, seed, grid, n, method, b_or_r, alpha, spectrum_k, e
     rejected = np.zeros((len(grid), len(ESTIMATOR_NAMES)), dtype=np.int64)
     for ci, spec in enumerate(grid):
         sample = _unit(PairedSample(*_draw(spec, n, rng)))[0]
+        observed = compute_ustats(sample)
         if method == "permutation":
-            rejected[ci] = _permutation_pvalues(sample, b_or_r, rng) <= alpha
+            rejected[ci] = _permutation_pvalues(sample, observed, b_or_r, rng) <= alpha
         else:
-            _, law, thresholds = _asymptotic_null(sample, spectrum_k, estimators)
+            _, law, thresholds = _asymptotic_null(sample, observed, spectrum_k, estimators)
             for name, q in thresholds.items():
                 rejected[ci, ESTIMATOR_NAMES.index(name)] = law.tail(q, level=alpha) <= alpha
     return rejected

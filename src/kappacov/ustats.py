@@ -405,7 +405,8 @@ def _sweep(sample: PairedSample, perms: np.ndarray) -> tuple:
     alike.  With OpenBLAS 0.3 at n = 500, moving 40 permutations down by
     three rows changed ``u12`` in 3 of them and sweeping each alone in 23,
     and :func:`compute_ustats` differed from row 0 of a 200-row sweep in
-    111 of 120 samples, by at most 4.4e-16 in any kappa.
+    111 of 120 samples, by at most 4.4e-16 in any kappa: so a test takes
+    its observed trio, the one it reports, from :func:`compute_ustats`.
     """
     if sample.n < 3:
         raise SampleTooSmall(f"need at least 3 observations, got {sample.n}")

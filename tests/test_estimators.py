@@ -234,7 +234,9 @@ def test_power_of_two_scale_property(data):
             assert all(np.array_equal(u.xs, units[0].xs) and np.array_equal(u.ys, units[0].ys) for u in units)
             decisions = []
             for unit in units:
-                _, law, thresholds = inference._asymptotic_null(unit, 20, ("star", "tilde", "hat"))
+                _, law, thresholds = inference._asymptotic_null(
+                    unit, compute_ustats(unit), 20, ("star", "tilde", "hat")
+                )
                 decisions.append([law.tail(q, level=0.05) <= 0.05 for q in thresholds.values()])
             assert decisions[0] == decisions[1]
 

@@ -10,6 +10,7 @@ import pytest
 from scipy import stats
 
 from kappacov import inference, spectral, ustats
+from kappacov.estimators import kappa_trio
 from kappacov import (
     DomainError,
     FamilySpec,
@@ -19,6 +20,7 @@ from kappacov import (
     SeedSpec,
     UnknownEstimator,
     UnsupportedFamily,
+    compute_ustats,
     independence_test,
     kappa_star,
     kappa_tilde,
@@ -102,8 +104,72 @@ def test_permutation_pvalues_count_ties_exactly(monkeypatch):
         expected = (1.0 + (exact[1:] >= exact[0]).sum(axis=0)) / (b + 1.0)
         for cut in (0, 10**9):
             monkeypatch.setattr(ustats, "_SORT_MIN_N", cut)
-            got = inference._permutation_pvalues(sample, b, np.random.default_rng(trial))
+            got = inference._permutation_pvalues(
+                sample, compute_ustats(sample), b, np.random.default_rng(trial)
+            )
             assert np.array_equal(got, expected.astype(float)), (trial, cut)
+
+
+@pytest.mark.parametrize("n", [3, 256, 257])
+def test_permutation_draws_are_successive_permutation_calls(monkeypatch, n):
+    # The sweep's B draws are those of B rng.permutation(n) calls, and the
+    # generator ends where those calls leave it, so a power study's common
+    # random numbers and every seeded p-value stay as they were.  n = 256 and
+    # 257 straddle the uint8/uint16 boundary of the draws' dtype.
+    b, swept = 99, []
+    sweep = inference.permutation_bundles
+
+    def capturing(unit, perms):
+        swept.append(perms.copy())
+        return sweep(unit, perms)
+
+    monkeypatch.setattr(inference, "permutation_bundles", capturing)
+    sample = sample_family(NULL_SPEC, n, SeedSpec(n))
+    rng, twin = np.random.default_rng(n), np.random.default_rng(n)
+    inference._permutation_pvalues(sample, compute_ustats(sample), b, rng)
+    (perms,) = swept
+    assert perms.dtype == np.min_scalar_type(n - 1)
+    assert np.array_equal(perms, [twin.permutation(n) for _ in range(b)])
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("cut", [0, 10**9])
+def test_permutation_pvalue_compares_the_reported_statistic(monkeypatch, cut):
+    # The observed trio the permuted ones are compared with is the bundle
+    # whose statistic the test reports, under either kernel.
+    monkeypatch.setattr(ustats, "_SORT_MIN_N", cut)
+    seen = []
+    pvalues = inference._permutation_pvalues
+
+    def capturing(unit, observed, b, rng):
+        seen.append(observed)
+        return pvalues(unit, observed, b, rng)
+
+    monkeypatch.setattr(inference, "_permutation_pvalues", capturing)
+    for n in (20, 150):
+        # Already in unit scale, so the statistic is reported unscaled.
+        sample = ustats._unit(sample_family(DEP_SPEC, n, SeedSpec(n)))[0]
+        for index, name in enumerate(inference.ESTIMATOR_NAMES):
+            result = independence_test(sample, name, b_or_r=99, seed=SeedSpec(5))
+            (observed,) = seen
+            assert kappa_trio(observed)[index] == result.statistic, (n, name)
+            seen.clear()
+
+
+def test_one_bundle_per_sample(monkeypatch):
+    # Each test and each power-study replicate computes its sample's bundle
+    # once, and both methods read it.
+    calls = []
+    bundle = inference.compute_ustats
+    monkeypatch.setattr(inference, "compute_ustats", lambda unit: calls.append(unit.n) or bundle(unit))
+    sample = sample_family(DEP_SPEC, 30, SeedSpec(6))
+    for method in ("permutation", "asymptotic_null"):
+        independence_test(sample, method=method, b_or_r=99, spectrum_k=20)
+        assert calls == [30], method
+        calls.clear()
+        power_study([NULL_SPEC, DEP_SPEC], n=20, replicates=100, method=method, b_or_r=99, spectrum_k=20)
+        assert calls == [20] * 200, method
+        calls.clear()
 
 
 def test_permutation_test_memory_is_bounded():
@@ -310,7 +376,7 @@ def test_asymptotic_power_matches_its_tests():
         assert report.power_for("normal", 0.45, estimator).power == hits / 100
         for r in range(100):
             sample = sample_family(spec, n, SeedSpec(23, 5 + r))
-            _, law, thresholds = inference._asymptotic_null(sample, 20, (estimator,))
+            _, law, thresholds = inference._asymptotic_null(sample, compute_ustats(sample), 20, (estimator,))
             q = thresholds[estimator]
             routes.add((math.exp(law.log_bound(q)) <= 0.05, law.tail(q) <= 0.05))
     # Some rejections are settled by the bound alone, and some only by

@@ -11,10 +11,12 @@ The grid covers n in {3, 20, 107, 108, 500} (both sides of the sweep's
 kernel switch), each with untied normal columns, columns tied to three
 values, and columns offset by 1e9.  For each sample it records the
 bundle, the three estimates with ``delta1_hat``, rho, and both tests'
-p-values and statistics for each estimator; then one permutation and one
-asymptotic ``PowerReport``, each serial and with ``threads=2``.  Every
-float is written by ``float.hex``, and an error by its class name and
-message, so any change in any bit shows.
+p-values and statistics for each estimator; then permutation and
+asymptotic ``PowerReport``s at n = 30 (the gather) and n = 120 (the sort
+kernel, whose sweep rows' last bits depend on the rows in their chunk),
+each serial and with ``threads=2``.  Every float is written by
+``float.hex``, and an error by its class name and message, so any change
+in any bit shows.
 """
 
 from __future__ import annotations
@@ -76,14 +78,15 @@ def grid(kc) -> dict:
                 )
         out[label] = row
     cells = [kc.FamilySpec("normal", 0.0), kc.FamilySpec("normal", 0.4)]
-    for method, b in (("permutation", 99), ("asymptotic_null", 99)):
-        for threads in (1, 2):
-            out[f"power {method} threads={threads}"] = _outcome(
-                lambda: kc.power_study(
-                    cells, n=30, replicates=100, method=method, b_or_r=b,
-                    seed=kc.SeedSpec(11), threads=threads,
+    for n in (30, 120):
+        for method in ("permutation", "asymptotic_null"):
+            for threads in (1, 2):
+                out[f"power {method} n={n} threads={threads}"] = _outcome(
+                    lambda: kc.power_study(
+                        cells, n=n, replicates=100, method=method, b_or_r=99,
+                        seed=kc.SeedSpec(11), threads=threads,
+                    )
                 )
-            )
     return out
 
 
