@@ -23,8 +23,10 @@ pair sum of ``|dx| * |dy|`` and the cross sum ``a @ b``.  Permuting
 ``y`` moves only the last two, so one sweep serves one sample and any
 array of permutations of ``y`` alike: :func:`compute_ustats` is its
 identity row, and :func:`permutation_bundles` runs it over all rows in
-chunks of bounded size.  At every n the row sums ``a`` and ``b`` come
-from one sort per column, :func:`_sorted_row_sums`.  From
+chunks of bounded size; :func:`_bundle_batches` hands the same rows back
+in batches of whole chunks, so that a caller can stop early.  At every n
+the row sums ``a`` and ``b`` come from one sort per column,
+:func:`_sorted_row_sums`.  From
 ``_SORT_MIN_N`` observations on, one merge sort, :func:`_merge_levels`,
 gives the pair sums with no n^2 table or pass; below, a gather from the
 two difference tables does.  The plug-in variance takes its row-level
@@ -155,7 +157,7 @@ def compute_ustats(sample: PairedSample) -> UStatBundle:
     SampleTooSmall
         If ``sample.n < 3``.
     """
-    sum_x, sum_y, pair_prod, cross, ex, ey = _sweep(sample, np.arange(sample.n)[None, :])
+    sum_x, sum_y, pair_prod, cross, ex, ey = next(_sweep(sample, np.arange(sample.n)[None, :]))
     return _bundle_from_sums(sample.n, sum_x, sum_y, float(pair_prod[0]), float(cross[0]), ex, ey)
 
 
@@ -395,13 +397,17 @@ def _pair_row_sums(sample: PairedSample) -> np.ndarray:
     return sums - every
 
 
-def _sweep(sample: PairedSample, perms: np.ndarray) -> tuple:
+def _sweep(sample: PairedSample, perms: np.ndarray, rows: int | None = None):
     """Sums of ``a`` and ``b``, and pair and cross sums of ``(xs, ys[perm])``
     per row of ``perms``, on the :func:`_unit` sample; and its ``ex``, ``ey``.
 
-    The matrix-vector products go through BLAS, which blocks rows, so a
-    row's sums can change in the last bit with the rows that share its
-    chunk: results repeat bit for bit only while the chunks are composed
+    Yields them in row order, one tuple per batch of whole chunks that
+    holds at least ``rows`` rows (all of them by default), each batch swept
+    only when it is asked for, so a caller can stop between batches.  The
+    chunks are those of the whole sweep whatever the batch size: the
+    matrix-vector products go through BLAS, which blocks rows, so a row's
+    sums can change in the last bit with the rows that share its chunk,
+    and results repeat bit for bit only while the chunks are composed
     alike.  With OpenBLAS 0.3 at n = 500, moving 40 permutations down by
     three rows changed ``u12`` in 3 of them and sweeping each alone in 23,
     and :func:`compute_ustats` differed from row 0 of a 200-row sweep in
@@ -415,14 +421,19 @@ def _sweep(sample: PairedSample, perms: np.ndarray) -> tuple:
     width, pair_sums = (
         _gather_kernel(sample) if sample.n < _SORT_MIN_N else _sort_kernel(sample, b)
     )
-    pair_prod = np.empty(len(perms))
-    cross = np.empty(len(perms))
+    sum_x, sum_y = float(a.sum()), float(b.sum())
     step = max(1, _SWEEP_ELEMENTS // width)
-    for start in range(0, len(perms), step):
-        chunk = perms[start : start + step].astype(np.intp)
-        pair_prod[start : start + step] = pair_sums(chunk)
-        cross[start : start + step] = b[chunk] @ a
-    return float(a.sum()), float(b.sum()), pair_prod, cross, ex, ey
+    # Whole chunks per batch; an empty perms yields one empty batch.
+    batch = step * max(1, -(-(rows or len(perms)) // step))
+    for first in range(0, max(1, len(perms)), batch):
+        part = perms[first : first + batch]
+        pair_prod = np.empty(len(part))
+        cross = np.empty(len(part))
+        for start in range(0, len(part), step):
+            chunk = part[start : start + step].astype(np.intp)
+            pair_prod[start : start + step] = pair_sums(chunk)
+            cross[start : start + step] = b[chunk] @ a
+        yield sum_x, sum_y, pair_prod, cross, ex, ey
 
 
 def permutation_bundles(sample: PairedSample, perms: np.ndarray) -> UStatBundle:
@@ -440,4 +451,11 @@ def permutation_bundles(sample: PairedSample, perms: np.ndarray) -> UStatBundle:
     SampleTooSmall
         If ``sample.n < 3``.
     """
-    return _bundle_from_sums(sample.n, *_sweep(sample, perms))
+    return _bundle_from_sums(sample.n, *next(_sweep(sample, perms)))
+
+
+def _bundle_batches(sample: PairedSample, perms: np.ndarray, rows: int):
+    """The rows of :func:`permutation_bundles`, bit for bit, as one bundle per
+    batch of whole chunks of at least ``rows`` rows, each swept only when
+    it is asked for."""
+    return (_bundle_from_sums(sample.n, *sums) for sums in _sweep(sample, perms, rows))

@@ -172,6 +172,100 @@ def test_one_bundle_per_sample(monkeypatch):
         calls.clear()
 
 
+def _counting_rows(monkeypatch):
+    # Rows handed to either kernel's chunk function, in call order.
+    rows = []
+    for name in ("_gather_kernel", "_sort_kernel"):
+        kernel = getattr(ustats, name)
+
+        def counting(*args, kernel=kernel):
+            width, pair_sums = kernel(*args)
+            return width, lambda perms: rows.append(len(perms)) or pair_sums(perms)
+
+        monkeypatch.setattr(ustats, name, counting)
+    return rows
+
+
+def _decision_samples(n):
+    # Continuous columns at three strengths, and three-valued ones, whose
+    # permuted statistics tie the observed one exactly.
+    for theta in (0.0, 0.3, 0.6):
+        yield sample_family(FamilySpec("normal", theta), n, SeedSpec(n))
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        yield PairedSample(rng.integers(0, 3, n) + 1000.0, rng.integers(0, 3, n) + 1000.0)
+
+
+# Small chunks make both kernels stop between batches; the gather's default
+# ones (36 rows at n = 30) do too, where the sort kernel's hold all B rows.
+@pytest.mark.parametrize("cut, elements", [(0, 1000), (10**9, 1000), (10**9, ustats._SWEEP_ELEMENTS)])
+def test_early_decisions_match_full_pvalues(monkeypatch, cut, elements):
+    # A stopped sweep decides p <= alpha as the full sweep's p-value does,
+    # for each requested estimator, at alphas whose threshold count m is the
+    # full exceedance count (reject at m) or one below it (accept at m + 1),
+    # and leaves the generator where the full sweep does.
+    monkeypatch.setattr(ustats, "_SORT_MIN_N", cut)
+    monkeypatch.setattr(ustats, "_SWEEP_ELEMENTS", elements)
+    b, names = 199, inference.ESTIMATOR_NAMES
+    rows, stopped = _counting_rows(monkeypatch), 0
+    for sample in _decision_samples(30):
+        unit = ustats._unit(sample)[0]
+        observed = compute_ustats(unit)
+        full_rng, rng = np.random.default_rng(7), np.random.default_rng(7)
+        pvalues = inference._permutation_pvalues(unit, observed, b, full_rng)
+        exceed = np.rint(pvalues * (b + 1)).astype(int) - 1
+        for k in range(len(names)):
+            for most in {exceed[k], exceed[k] - 1} - {-1}:
+                alpha = (1.0 + most) / (b + 1.0)
+                for estimators in (names, (names[k],), tuple(name for name in names if name != names[k])):
+                    asked = np.isin(names, estimators)
+                    rows.clear()
+                    rng = np.random.default_rng(7)
+                    got = inference._permutation_rejections(unit, observed, b, rng, alpha, estimators)
+                    assert np.array_equal(got, asked & (pvalues <= alpha)), (most, estimators)
+                    assert rng.bit_generator.state == full_rng.bit_generator.state
+                    stopped += sum(rows) < b
+    assert stopped > 0
+
+
+@pytest.mark.parametrize("cut", [0, 10**9])
+def test_settled_alphas_sweep_nothing(monkeypatch, cut):
+    # Below 1/(B + 1) no count rejects, and at 1 every count does: both are
+    # settled before the first row, yet all B permutations are still drawn.
+    monkeypatch.setattr(ustats, "_SORT_MIN_N", cut)
+    b, names = 199, inference.ESTIMATOR_NAMES
+    rows = _counting_rows(monkeypatch)
+    for sample in _decision_samples(30):
+        unit = ustats._unit(sample)[0]
+        observed = compute_ustats(unit)
+        rows.clear()
+        for alpha, expected in ((0.999 / (b + 1), False), (1.0, True)):
+            rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+            got = inference._permutation_rejections(unit, observed, b, rng, alpha, names)
+            assert np.array_equal(got, np.full(len(names), expected)), alpha
+            [twin.permutation(30) for _ in range(b)]
+            assert rng.bit_generator.state == twin.bit_generator.state
+        assert rows == []
+    rows.clear()
+    report = power_study([DEP_SPEC], n=30, replicates=100, alpha=0.004, b_or_r=b)
+    assert all(cell.power == 0.0 for cell in report.cells)
+    # One row per replicate: compute_ustats's observed bundle.
+    assert rows == [1] * 100
+
+
+def test_null_cell_stops_early_and_tests_sweep_all(monkeypatch):
+    # At alpha = 0.05 and B = 199 a null replicate is settled once 10
+    # permutations reach its statistic, well short of B; a test still sweeps
+    # every permutation for its p-value.
+    rows = _counting_rows(monkeypatch)
+    b, replicates = 199, 100
+    power_study([NULL_SPEC], n=30, replicates=replicates, b_or_r=b)
+    assert sum(rows) - replicates < 0.5 * replicates * b
+    rows.clear()
+    independence_test(sample_family(NULL_SPEC, 30, SeedSpec(8)), b_or_r=b)
+    assert sum(rows) == 1 + b
+
+
 def test_permutation_test_memory_is_bounded():
     # The tables alone would hold 2 * 5000**2 floats, 400 MB.
     sample = sample_family(NULL_SPEC, 5000, SeedSpec(5))

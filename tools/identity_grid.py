@@ -14,9 +14,10 @@ bundle, the three estimates with ``delta1_hat``, rho, and both tests'
 p-values and statistics for each estimator; then permutation and
 asymptotic ``PowerReport``s at n = 30 (the gather) and n = 120 (the sort
 kernel, whose sweep rows' last bits depend on the rows in their chunk),
-each serial and with ``threads=2``.  Every float is written by
-``float.hex``, and an error by its class name and message, so any change
-in any bit shows.
+each serial and with ``threads=2``, and permutation ones that request
+``("tilde",)`` or ``("star", "hat")`` at alpha 0.01 and 0.2.  Every float
+is written by ``float.hex``, and an error by its class name and message,
+so any change in any bit shows.
 """
 
 from __future__ import annotations
@@ -87,6 +88,19 @@ def grid(kc) -> dict:
                         seed=kc.SeedSpec(11), threads=threads,
                     )
                 )
+        # A permutation replicate stops sweeping once its requested
+        # estimators' decisions are settled, which depends on them and on
+        # alpha's threshold count.
+        for estimators in (("tilde",), ("star", "hat")):
+            for alpha in (0.01, 0.2):
+                for threads in (1, 2):
+                    key = f"power permutation n={n} {'+'.join(estimators)} alpha={alpha} threads={threads}"
+                    out[key] = _outcome(
+                        lambda: kc.power_study(
+                            cells, n=n, replicates=100, alpha=alpha, b_or_r=99,
+                            seed=kc.SeedSpec(11), estimators=estimators, threads=threads,
+                        )
+                    )
     return out
 
 
