@@ -1,29 +1,33 @@
 """Independence testing, power studies, normality diagnostics, timing.
 
 The permutation test is exact under the null: the second coordinate is
-permuted with the first held fixed, one sweep over B draws
-(:func:`~kappacov.ustats.permutation_bundles`) gives the permuted
-statistics, the sample's one bundle the observed one, and the p-value is
-``(1 + #{permuted >= observed}) / (B + 1)``, where a permuted statistic
-within ``1e-12 * statistic_scale`` below the observed one counts as a
-tie, since the two can differ by rounding alone.  The asymptotic route
-scales the statistic by n and refers it to the weighted chi-square null
-limit built from the empirical marginals, whose tail the sample's one
-null law (as in :func:`~kappacov.spectral.null_tail`) computes without
-simulation, so it ignores the permutation count ``b_or_r``; a power
-study asks it only whether the tail is at most alpha.
+permuted with the first held fixed, one sweep over B draws gives the
+permuted statistics, the sample's one bundle the observed one, and the
+p-value is ``(1 + #{permuted >= observed}) / (B + 1)``, where a permuted
+statistic within ``1e-12 * statistic_scale`` below the observed one
+counts as a tie, since the two can differ by rounding alone.  The sweep
+draws the permutations block by block, each just before it sweeps it
+(:func:`~kappacov.ustats._drawn_blocks`), so a test's memory grows with
+n but not with B; the draws are those of B ``rng.permutation(n)``
+calls.  The asymptotic route scales the statistic by n and refers it to
+the weighted chi-square null limit built from the empirical marginals,
+whose tail the sample's one null law (as in
+:func:`~kappacov.spectral.null_tail`) computes without simulation, so it
+ignores the permutation count ``b_or_r``; a power study asks it only
+whether the tail is at most alpha.
 
 A permutation power study needs only whether ``p <= alpha`` too.  That
 holds exactly when at most ``m`` permuted statistics reach the observed
 one, where ``m`` is the largest count that passes the same float test,
 ``(1 + m) / (B + 1) <= alpha`` (Besag & Clifford 1991, Biometrika 78:301).
-So a replicate draws all B permutations, sweeps them in batches of whole
-chunks and stops once every requested estimator's count exceeds ``m``
-(accept) or can no longer exceed it with the rows left (reject).  Each
-swept row is computed in the same chunk as in the full sweep, so its
-statistics are the same bits, and no decision, hence no power report,
-can differ from the full p-values'.  :func:`independence_test` sweeps
-all B rows for its p-value.
+So a replicate sweeps its blocks one at a time and stops once every
+requested estimator's count exceeds ``m`` (accept) or can no longer
+exceed it with the rows left (reject); it still draws the blocks it
+does not sweep, one at a time, so the generator moves on as after B
+draws.  Each swept row is computed in the same chunk as in the full
+sweep, so its statistics are the same bits, and no decision, hence no
+power report, can differ from the full p-values'.
+:func:`independence_test` sweeps all B rows for its p-value.
 
 All three statistics inflate under dependence, so every test is
 one-sided in the upper tail.  A power study's replicate is a function
@@ -58,7 +62,7 @@ from .estimators import (
 )
 from .samplers import _draw
 from .spectral import _NullLaw, empirical_marginal, kernel_eigenvalues
-from .ustats import UStatBundle, _bundle_batches, _in_units, _unit, compute_ustats, permutation_bundles
+from .ustats import UStatBundle, _bundles, _drawn_blocks, _in_units, _swept_bundle, _unit, compute_ustats
 
 __all__ = [
     "TestResult",
@@ -82,11 +86,6 @@ _MIN_B = 99
 # still counts as reaching it: statistics tied in exact arithmetic, as on
 # discrete data, differ by rounding alone.
 _TIE_TOLERANCE = 1e-12
-# A power study's permutation sweep checks whether its decisions are settled
-# after batches of at least this many rows.  The statistics of a batch cost
-# about 20 us, so checking after every chunk of the gather (3 rows at
-# n = 100) gave back about a fifth of the time the early stop saves.
-_DECISION_ROWS = 16
 
 
 def _check_estimator(name: str) -> str:
@@ -213,15 +212,6 @@ class TimingReport:
         return asdict(self)
 
 
-def _permutation_draws(n: int, b: int, rng: np.random.Generator) -> np.ndarray:
-    """The ``(b, n)`` permutations of ``b`` ``rng.permutation(n)`` calls, made by
-    one ``permuted`` call that leaves ``rng`` in the same state."""
-    # The smallest unsigned type that holds every index keeps B x n small.
-    perms = np.empty((b, n), dtype=np.min_scalar_type(n - 1))
-    perms[:] = np.arange(n)
-    return rng.permuted(perms, axis=1, out=perms)
-
-
 def _tie_floor(observed: UStatBundle) -> np.ndarray:
     """Per statistic, the least permuted value that reaches the observed one:
     within the tie tolerance below it."""
@@ -232,8 +222,9 @@ def _permutation_pvalues(
     unit: PairedSample, observed: UStatBundle, b: int, rng: np.random.Generator
 ) -> np.ndarray:
     """The three permutation p-values of a unit sample with bundle ``observed``
-    from one sweep over ``b`` draws (:func:`_permutation_draws`)."""
-    trio = np.array(kappa_trio(permutation_bundles(unit, _permutation_draws(unit.n, b, rng))))
+    from one sweep over ``b`` draws, each block drawn just before it is
+    swept (:func:`~kappacov.ustats._drawn_blocks`)."""
+    trio = np.array(kappa_trio(_swept_bundle(unit, _drawn_blocks(unit.n, b, rng))))
     exceed = np.count_nonzero(trio >= _tie_floor(observed), axis=1)
     return (1.0 + exceed) / (b + 1.0)
 
@@ -244,23 +235,28 @@ def _permutation_rejections(
     """Whether each of ``estimators`` has a permutation p-value at most ``alpha``,
     as :func:`_permutation_pvalues` would give it, from the same draws.
 
-    The sweep runs in batches of at least ``_DECISION_ROWS`` rows and stops
-    once every decision is settled: ``p <= alpha`` holds exactly when at
-    most ``most`` permuted statistics reach the observed one, by the same
-    float test, so a count above ``most`` settles an acceptance and one
-    that the rows left cannot lift above it a rejection.  Each row's
-    statistics are those of the full sweep, bit for bit, so no decision
-    can differ from the full p-value's.  Estimators not asked for read 0.
+    The sweep runs block by block and stops once every decision is
+    settled: ``p <= alpha`` holds exactly when at most ``most`` permuted
+    statistics reach the observed one, by the same float test, so a count
+    above ``most`` settles an acceptance and one that the rows left cannot
+    lift above it a rejection.  Each row's statistics are those of the full
+    sweep, bit for bit, so no decision can differ from the full p-value's.
+    The blocks left unswept are still drawn, one at a time, and dropped,
+    so ``rng`` ends where the full sweep leaves it.  Estimators not asked
+    for read 0.
     """
     most = np.count_nonzero((1.0 + np.arange(b + 1)) / (b + 1.0) <= alpha) - 1
     asked = np.isin(ESTIMATOR_NAMES, estimators)
     floor = _tie_floor(observed)
-    batches = _bundle_batches(unit, _permutation_draws(unit.n, b, rng), _DECISION_ROWS)
+    blocks = _drawn_blocks(unit.n, b, rng)
+    bundles = _bundles(unit, blocks)
     exceed, left = np.zeros(len(ESTIMATOR_NAMES), dtype=np.int64), b
     while not np.all(((exceed > most) | (exceed + left <= most))[asked]):
-        trio = np.array(kappa_trio(next(batches)))
+        trio = np.array(kappa_trio(next(bundles)))
         exceed += np.count_nonzero(trio >= floor, axis=1)
         left -= trio.shape[1]
+    for _ in blocks:
+        pass
     return asked & (exceed <= most)
 
 
@@ -355,14 +351,15 @@ def power_study(
     core, and all cores for 0.  All replicates share substreams across
     cells (common random numbers), and all three statistics are computed
     from the same permutations within a cell.
-    With the permutation method a replicate still draws all
-    ``b_or_r`` permutations, so the generator moves on to the next cell
-    as it would for full p-values, but it stops sweeping them once each
+    With the permutation method a replicate draws and sweeps its
+    ``b_or_r`` permutations block by block, and stops sweeping once each
     requested estimator's ``p <= alpha`` is settled by its count of
-    permuted statistics that reach the observed one.  Every swept row is
-    computed exactly as in the full sweep, so the report is the same,
-    bit for bit, as from full p-values, while a null cell at B = 199 and
-    alpha = 0.05 sweeps about a quarter of the permutations.
+    permuted statistics that reach the observed one; it still draws the
+    blocks left, one at a time, so the generator moves on to the next cell
+    as it would for full p-values.  Every swept row is computed exactly as
+    in the full sweep, so the report is the same, bit for bit, as from
+    full p-values, while a null cell at B = 199 and alpha = 0.05 sweeps
+    about a quarter of the permutations.
     With the asymptotic method each cell's sample gives one null law,
     which every estimator asks once for its tail at level ``alpha``: a
     Chernoff bound below ``alpha`` settles the rejection without Imhof's

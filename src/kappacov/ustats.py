@@ -21,16 +21,19 @@ where ``a_i`` and ``b_i`` are the full absolute-difference row sums.
 Every bundle therefore needs four sums: those of ``a`` and ``b``, the
 pair sum of ``|dx| * |dy|`` and the cross sum ``a @ b``.  Permuting
 ``y`` moves only the last two, so one sweep serves one sample and any
-array of permutations of ``y`` alike: :func:`compute_ustats` is its
-identity row, and :func:`permutation_bundles` runs it over all rows in
-chunks of bounded size; :func:`_bundle_batches` hands the same rows back
-in batches of whole chunks, so that a caller can stop early.  At every n
-the row sums ``a`` and ``b`` come from one sort per column,
-:func:`_sorted_row_sums`.  From
-``_SORT_MIN_N`` observations on, one merge sort, :func:`_merge_levels`,
-gives the pair sums with no n^2 table or pass; below, a gather from the
-two difference tables does.  The plug-in variance takes its row-level
-sums from :func:`_sorted_row_sums` and :func:`_pair_row_sums`.
+set of permutations of ``y`` alike: :func:`compute_ustats` is its
+identity row, and :func:`permutation_bundles` runs it over all rows of
+an array.  The sweep takes its permutations in blocks of whole chunks
+and sweeps each block only when it is asked for: :func:`_drawn_blocks`
+draws each block from a generator just before it is swept, so a test's
+memory does not grow with its permutation count, and :func:`_bundles`
+hands the rows back one bundle per block, so that a caller can stop
+early.  At every n the row sums ``a`` and ``b`` come from one sort per
+column, :func:`_sorted_row_sums`.  From ``_SORT_MIN_N`` observations
+on, one merge sort, :func:`_merge_levels`, gives the pair sums with no
+n^2 table or pass; below, a gather from the two difference tables does.
+The plug-in variance takes its row-level sums from
+:func:`_sorted_row_sums` and :func:`_pair_row_sums`.
 :func:`differences` is the one place a difference matrix is built.
 Every sum is taken on the :func:`_unit` sample, below n**3 in any units,
 and :func:`_in_units` scales a result back exactly or raises DomainError.
@@ -70,6 +73,13 @@ _SORT_MIN_N = 108
 # op (n = 500, B = 999) took about 10k minor page faults at 2**15 entries
 # per array, 550 at 2**14 and 0 at 2**13, at equal speed within noise.
 _SWEEP_ELEMENTS = 1 << 15
+# The sweep draws and sweeps its permutations in blocks of the whole
+# chunks that together hold at least this many rows (16 at n = 500, 18 at
+# n = 100), and a power study checks whether its decisions are settled
+# after each block.  The statistics of a block cost about 20 us, so
+# checking after every chunk of the gather (3 rows at n = 100) gave back
+# about a fifth of the time the early stop saves.
+_DECISION_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -157,7 +167,8 @@ def compute_ustats(sample: PairedSample) -> UStatBundle:
     SampleTooSmall
         If ``sample.n < 3``.
     """
-    sum_x, sum_y, pair_prod, cross, ex, ey = next(_sweep(sample, np.arange(sample.n)[None, :]))
+    sum_x, sum_y, ex, ey, sums = _sweep(sample, [np.arange(sample.n)[None, :]])
+    ((pair_prod, cross),) = sums
     return _bundle_from_sums(sample.n, sum_x, sum_y, float(pair_prod[0]), float(cross[0]), ex, ey)
 
 
@@ -262,8 +273,7 @@ def bundle_for_permutation(tables: tuple, perm: np.ndarray | None = None) -> USt
 
 
 def _gather_kernel(sample: PairedSample):
-    """Entries per permutation, and the pair sums of a chunk of
-    permutations by one flat gather of ``dy``."""
+    """The pair sums of a chunk of permutations by one flat gather of ``dy``."""
     n = sample.n
     dx, dy = (table.ravel() for table in pairwise_tables(sample))
 
@@ -271,7 +281,7 @@ def _gather_kernel(sample: PairedSample):
         flat = perms[:, :, None] * n + perms[:, None, :]
         return dy.take(flat.reshape(len(perms), -1)) @ dx
 
-    return n * n, pair_sums
+    return pair_sums
 
 
 def _centered(sample: PairedSample) -> tuple:
@@ -306,8 +316,7 @@ def _merge_levels(w: np.ndarray, *moved: np.ndarray):
 
 
 def _sort_kernel(sample: PairedSample, b: np.ndarray):
-    """Entries a permutation counts against ``_SWEEP_ELEMENTS``, and the
-    pair sums of a chunk of permutations in O(n log n) each.
+    """The pair sums of a chunk of permutations in O(n log n) each.
 
     With ``x`` in ascending order and ``w_j`` the permuted ``y`` paired
     with ``x_j``, ``sum_{i<j} |x_i - x_j| |w_i - w_j|`` is
@@ -340,7 +349,7 @@ def _sort_kernel(sample: PairedSample, b: np.ndarray):
         # Ordered pairs: twice sum_j x_j (2 L_j - B_j).
         return 4.0 * earlier + 8.0 * below - 2.0 * (b[perms] @ x)
 
-    return 4 * width, pair_sums
+    return pair_sums
 
 
 def _sorted_row_sums(values: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
@@ -397,43 +406,76 @@ def _pair_row_sums(sample: PairedSample) -> np.ndarray:
     return sums - every
 
 
-def _sweep(sample: PairedSample, perms: np.ndarray, rows: int | None = None):
-    """Sums of ``a`` and ``b``, and pair and cross sums of ``(xs, ys[perm])``
-    per row of ``perms``, on the :func:`_unit` sample; and its ``ex``, ``ey``.
+def _chunk_rows(n: int) -> int:
+    """Permutations per chunk of the sweep: about ``_SWEEP_ELEMENTS`` entries
+    per working array, n**2 per permutation for the gather and four padded
+    widths for the sort kernel."""
+    width = n * n if n < _SORT_MIN_N else 4 << (n - 1).bit_length()
+    return max(1, _SWEEP_ELEMENTS // width)
 
-    Yields them in row order, one tuple per batch of whole chunks that
-    holds at least ``rows`` rows (all of them by default), each batch swept
-    only when it is asked for, so a caller can stop between batches.  The
-    chunks are those of the whole sweep whatever the batch size: the
-    matrix-vector products go through BLAS, which blocks rows, so a row's
-    sums can change in the last bit with the rows that share its chunk,
-    and results repeat bit for bit only while the chunks are composed
-    alike.  With OpenBLAS 0.3 at n = 500, moving 40 permutations down by
-    three rows changed ``u12`` in 3 of them and sweeping each alone in 23,
-    and :func:`compute_ustats` differed from row 0 of a 200-row sweep in
-    111 of 120 samples, by at most 4.4e-16 in any kappa: so a test takes
-    its observed trio, the one it reports, from :func:`compute_ustats`.
+
+def _block_rows(n: int) -> int:
+    """Permutations per block of the sweep: the whole chunks that together
+    hold at least ``_DECISION_ROWS`` rows."""
+    step = _chunk_rows(n)
+    return step * -(-_DECISION_ROWS // step)
+
+
+def _drawn_blocks(n: int, b: int, rng: np.random.Generator):
+    """The permutations of ``b`` successive ``rng.permutation(n)`` calls in
+    blocks of :func:`_block_rows` rows, each drawn only when asked for.
+
+    Each block is one ``rng.permuted`` call on rows of ``arange(n)`` in one
+    reused ``np.intp`` buffer, so the next block overwrites it.  That makes
+    the same permutations as the ``permutation`` calls and, once every
+    block is drawn, leaves ``rng`` where they would.
+    """
+    rows = _block_rows(n)
+    ramp, buffer = np.arange(n), np.empty((min(rows, b), n), dtype=np.intp)
+    for first in range(0, b, rows):
+        block = buffer[: b - first]
+        block[:] = ramp
+        yield rng.permuted(block, axis=1, out=block)
+
+
+def _sweep(sample: PairedSample, blocks):
+    """Sums of ``a`` and ``b`` of the :func:`_unit` sample, its ``ex`` and
+    ``ey``, and an iterator of the pair and cross sums of ``(xs, ys[perm])``
+    per row ``perm`` of each block of ``blocks``.
+
+    ``blocks`` yields ``np.intp`` arrays of permutations, each of whole
+    chunks of :func:`_chunk_rows` rows but the last, as :func:`_block_rows`
+    makes them.  The iterator takes a block from ``blocks`` and sweeps it
+    only when it is asked for, so a caller can stop between blocks.  The
+    chunks are the slices of each block at multiples of
+    :func:`_chunk_rows`, so they are those of one whole sweep whatever the
+    block size: the matrix-vector products go through BLAS, which blocks
+    rows, so a row's sums can change in the last bit with the rows that
+    share its chunk, and results repeat bit for bit only while the chunks
+    are composed alike.  With OpenBLAS 0.3 at n = 500, moving 40
+    permutations down by three rows changed ``u12`` in 3 of them and
+    sweeping each alone in 23, and :func:`compute_ustats` differed from
+    row 0 of a 200-row sweep in 111 of 120 samples, by at most 4.4e-16 in
+    any kappa: so a test takes its observed trio, the one it reports, from
+    :func:`compute_ustats`.
     """
     if sample.n < 3:
         raise SampleTooSmall(f"need at least 3 observations, got {sample.n}")
     sample, ex, ey = _unit(sample)
     a, b = _sorted_row_sums(sample.xs), _sorted_row_sums(sample.ys)
-    width, pair_sums = (
-        _gather_kernel(sample) if sample.n < _SORT_MIN_N else _sort_kernel(sample, b)
-    )
-    sum_x, sum_y = float(a.sum()), float(b.sum())
-    step = max(1, _SWEEP_ELEMENTS // width)
-    # Whole chunks per batch; an empty perms yields one empty batch.
-    batch = step * max(1, -(-(rows or len(perms)) // step))
-    for first in range(0, max(1, len(perms)), batch):
-        part = perms[first : first + batch]
-        pair_prod = np.empty(len(part))
-        cross = np.empty(len(part))
-        for start in range(0, len(part), step):
-            chunk = part[start : start + step].astype(np.intp)
-            pair_prod[start : start + step] = pair_sums(chunk)
-            cross[start : start + step] = b[chunk] @ a
-        yield sum_x, sum_y, pair_prod, cross, ex, ey
+    pair_sums = _gather_kernel(sample) if sample.n < _SORT_MIN_N else _sort_kernel(sample, b)
+    step = _chunk_rows(sample.n)
+
+    def swept():
+        for block in blocks:
+            pair_prod, cross = np.empty(len(block)), np.empty(len(block))
+            for start in range(0, len(block), step):
+                chunk = block[start : start + step]
+                pair_prod[start : start + step] = pair_sums(chunk)
+                cross[start : start + step] = b[chunk] @ a
+            yield pair_prod, cross
+
+    return float(a.sum()), float(b.sum()), ex, ey, swept()
 
 
 def permutation_bundles(sample: PairedSample, perms: np.ndarray) -> UStatBundle:
@@ -443,19 +485,33 @@ def permutation_bundles(sample: PairedSample, perms: np.ndarray) -> UStatBundle:
     ``range(n)``.  Returns one :class:`UStatBundle` in which the fields
     that a permutation moves, ``u12``, ``u3``, ``v12`` and ``v3``, are
     length-``B`` arrays, so the estimator formulas apply to it unchanged.
-    The sweep the module docstring describes runs in chunks of
-    ``_SWEEP_ELEMENTS``; the cross sums are ``b[perm] @ a``.
+    The sweep the module docstring describes takes ``perms`` slice by
+    slice, in the blocks and chunks of a test's drawn permutations, so
+    each row gets the same bits as there; the cross sums are
+    ``b[perm] @ a``.
 
     Raises
     ------
     SampleTooSmall
         If ``sample.n < 3``.
     """
-    return _bundle_from_sums(sample.n, *next(_sweep(sample, perms)))
+    rows = _block_rows(sample.n)
+    # An empty perms is one empty block, which gives empty fields.
+    blocks = (
+        perms[first : first + rows].astype(np.intp, copy=False) for first in range(0, max(1, len(perms)), rows)
+    )
+    return _swept_bundle(sample, blocks)
 
 
-def _bundle_batches(sample: PairedSample, perms: np.ndarray, rows: int):
-    """The rows of :func:`permutation_bundles`, bit for bit, as one bundle per
-    batch of whole chunks of at least ``rows`` rows, each swept only when
-    it is asked for."""
-    return (_bundle_from_sums(sample.n, *sums) for sums in _sweep(sample, perms, rows))
+def _swept_bundle(sample: PairedSample, blocks) -> UStatBundle:
+    """The bundle of :func:`permutation_bundles` for every row of ``blocks``."""
+    sum_x, sum_y, ex, ey, sums = _sweep(sample, blocks)
+    pair_prod, cross = map(np.concatenate, zip(*sums))
+    return _bundle_from_sums(sample.n, sum_x, sum_y, pair_prod, cross, ex, ey)
+
+
+def _bundles(sample: PairedSample, blocks):
+    """One bundle of :func:`permutation_bundles`' kind per block of ``blocks``,
+    each swept only when it is asked for."""
+    sum_x, sum_y, ex, ey, sums = _sweep(sample, blocks)
+    return (_bundle_from_sums(sample.n, sum_x, sum_y, pair_prod, cross, ex, ey) for pair_prod, cross in sums)

@@ -112,25 +112,40 @@ def test_permutation_pvalues_count_ties_exactly(monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 256, 257])
 def test_permutation_draws_are_successive_permutation_calls(monkeypatch, n):
-    # The sweep's B draws are those of B rng.permutation(n) calls, and the
-    # generator ends where those calls leave it, so a power study's common
-    # random numbers and every seeded p-value stay as they were.  n = 256 and
-    # 257 straddle the uint8/uint16 boundary of the draws' dtype.
-    b, swept = 99, []
-    sweep = inference.permutation_bundles
+    # The sweep's B draws, streamed block by block, are those of B
+    # rng.permutation(n) calls, and the generator ends where those calls leave
+    # it, so a power study's common random numbers and every seeded p-value
+    # stay as they were.  No block holds more rows than one block, so memory
+    # does not grow with B.  Both hold for a test's full sweep and for a power
+    # study's, which stops early here and still draws the rest.  n = 3 is one
+    # block of the gather; n = 256 and 257 are blocks of 32 and 16 rows of the
+    # sort kernel.
+    b, drawn = 99, []
+    draw = inference._drawn_blocks
 
-    def capturing(unit, perms):
-        swept.append(perms.copy())
-        return sweep(unit, perms)
+    def capturing(n, b, rng):
+        for block in draw(n, b, rng):
+            drawn.append(block.copy())
+            yield block
 
-    monkeypatch.setattr(inference, "permutation_bundles", capturing)
-    sample = sample_family(NULL_SPEC, n, SeedSpec(n))
-    rng, twin = np.random.default_rng(n), np.random.default_rng(n)
-    inference._permutation_pvalues(sample, compute_ustats(sample), b, rng)
-    (perms,) = swept
-    assert perms.dtype == np.min_scalar_type(n - 1)
-    assert np.array_equal(perms, [twin.permutation(n) for _ in range(b)])
-    assert rng.bit_generator.state == twin.bit_generator.state
+    monkeypatch.setattr(inference, "_drawn_blocks", capturing)
+    unit = ustats._unit(sample_family(NULL_SPEC, n, SeedSpec(n)))[0]
+    observed = compute_ustats(unit)
+    rows = _counting_rows(monkeypatch)
+    names = inference.ESTIMATOR_NAMES
+    for full, decide in (
+        (True, lambda rng: inference._permutation_pvalues(unit, observed, b, rng)),
+        (False, lambda rng: inference._permutation_rejections(unit, observed, b, rng, 0.05, names)),
+    ):
+        drawn.clear()
+        rows.clear()
+        rng, twin = np.random.default_rng(n), np.random.default_rng(n)
+        decide(rng)
+        # The power study's sweep stops early wherever there is a block to skip.
+        assert (sum(rows) == b) if full else (sum(rows) < b or len(drawn) == 1)
+        assert max(len(block) for block in drawn) <= ustats._block_rows(n)
+        assert np.array_equal(np.concatenate(drawn), [twin.permutation(n) for _ in range(b)])
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 @pytest.mark.parametrize("cut", [0, 10**9])
@@ -179,8 +194,8 @@ def _counting_rows(monkeypatch):
         kernel = getattr(ustats, name)
 
         def counting(*args, kernel=kernel):
-            width, pair_sums = kernel(*args)
-            return width, lambda perms: rows.append(len(perms)) or pair_sums(perms)
+            pair_sums = kernel(*args)
+            return lambda perms: rows.append(len(perms)) or pair_sums(perms)
 
         monkeypatch.setattr(ustats, name, counting)
     return rows
@@ -277,6 +292,24 @@ def test_permutation_test_memory_is_bounded():
         tracemalloc.stop()
     assert peak < 64e6, peak
     assert 0.0 < result.p_value <= 1.0
+
+
+def test_permutation_test_memory_does_not_grow_with_b():
+    # The sweep draws its permutations block by block as it reaches them, so
+    # at B = 999 a test peaks within 10% of its peak at B = 99; with all B
+    # drawn up front it peaked at 5.0 against 1.36 MB.  A first test also
+    # allocates what later ones reuse, so one runs before either is traced.
+    sample = sample_family(NULL_SPEC, 2000, SeedSpec(9))
+    independence_test(sample, b_or_r=99)
+    peaks = []
+    for b in (99, 999):
+        tracemalloc.start()
+        try:
+            independence_test(sample, b_or_r=b, seed=SeedSpec(0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_test_result_as_dict():

@@ -11,10 +11,12 @@ The grid covers n in {3, 20, 107, 108, 500} (both sides of the sweep's
 kernel switch), each with untied normal columns, columns tied to three
 values, and columns offset by 1e9.  For each sample it records the
 bundle, the three estimates with ``delta1_hat``, rho, and both tests'
-p-values and statistics for each estimator; then permutation and
-asymptotic ``PowerReport``s at n = 30 (the gather) and n = 120 (the sort
-kernel, whose sweep rows' last bits depend on the rows in their chunk),
-each serial and with ``threads=2``, and permutation ones that request
+p-values and statistics for each estimator.  Permutation tests with
+B = 99 at n = 4096 and n = 4097 add sort-kernel chunks of 2 rows, the
+last one partial, and of 1 row.  Then come permutation and asymptotic
+``PowerReport``s at n = 30 (the gather) and n = 120 (the sort kernel,
+whose sweep rows' last bits depend on the rows in their chunk), each
+serial and with ``threads=2``, and permutation ones that request
 ``("tilde",)`` or ``("star", "hat")`` at alpha 0.01 and 0.2.  Every float
 is written by ``float.hex``, and an error by its class name and message,
 so any change in any bit shows.
@@ -29,6 +31,7 @@ import sys
 from pathlib import Path
 
 SIZES = (3, 20, 107, 108, 500)
+LARGE_SIZES = (4096, 4097)
 
 
 def _hex(value):
@@ -78,6 +81,12 @@ def grid(kc) -> dict:
                     lambda: kc.independence_test(sample, name, method, 999, kc.SeedSpec(3))
                 )
         out[label] = row
+    for n in LARGE_SIZES:
+        sample = kc.sample_family(kc.FamilySpec("normal", 0.5), n, kc.SeedSpec(n))
+        for name in ("star", "tilde", "hat"):
+            out[f"untied n={n} permutation {name}"] = _outcome(
+                lambda: kc.independence_test(sample, name, "permutation", 99, kc.SeedSpec(3))
+            )
     cells = [kc.FamilySpec("normal", 0.0), kc.FamilySpec("normal", 0.4)]
     for n in (30, 120):
         for method in ("permutation", "asymptotic_null"):
