@@ -32,8 +32,8 @@ import numpy as np
 
 from .core import PairedSample
 from .errors import DegenerateMarginal, SampleTooSmall
-from .ustats import UStatBundle, compute_ustats, differences
-from .ustats import _bundle_from_sums, _in_units, _pair_row_sums, _sorted_row_sums, _unit
+from .ustats import UStatBundle, differences
+from .ustats import _bundle_from_sums, _in_units, _pair_row_sums, _sorted_row_sums, _sweep, _unit
 
 __all__ = [
     "KappaEstimates",
@@ -79,7 +79,7 @@ def _unit_bundle(data: PairedSample | UStatBundle) -> tuple[UStatBundle, int]:
     if isinstance(data, UStatBundle):
         return data, 0
     unit, ex, ey = _unit(data)
-    return compute_ustats(unit), ex + ey
+    return _sweep(unit)[0], ex + ey
 
 
 def kappa_star(data: PairedSample | UStatBundle) -> float:
@@ -204,23 +204,30 @@ def delta1_plugin(sample: PairedSample) -> float:
     the ``delta1_hat`` of :func:`estimate` with ``with_variance=True``.
     Its row-level sums come from sorts: O(n log n) time, O(n) memory.
     """
-    n = sample.n
-    if n < 3:
-        raise SampleTooSmall(f"need at least 3 observations, got {n}")
-    sample, ex, ey = _unit(sample)
-    a, b = _sorted_row_sums(sample.xs), _sorted_row_sums(sample.ys)
-    g1, g2, g12 = a / n, b / n, _pair_row_sums(sample) / n
-    cond_x = _sorted_row_sums(sample.xs, b) / n / n
-    cond_y = _sorted_row_sums(sample.ys, a) / n / n
+    if sample.n < 3:
+        raise SampleTooSmall(f"need at least 3 observations, got {sample.n}")
+    unit, ex, ey = _unit(sample)
+    return _in_units(_delta1(unit, _sorted_row_sums(unit.xs), _sorted_row_sums(unit.ys)), 2 * (ex + ey))
+
+
+def _delta1(unit: PairedSample, a: np.ndarray, b: np.ndarray) -> float:
+    """:func:`delta1_plugin` of a unit sample with row sums ``a`` and ``b``, in the unit."""
+    n = unit.n
+    g1, g2, g12 = a / n, b / n, _pair_row_sums(unit) / n
+    cond_x = _sorted_row_sums(unit.xs, b) / n / n
+    cond_y = _sorted_row_sums(unit.ys, a) / n / n
     projection = g12 + g1.mean() * g2 + g2.mean() * g1 - cond_x - cond_y - g1 * g2
-    return _in_units(0.25 * float(projection.var()), 2 * (ex + ey))
+    return 0.25 * float(projection.var())
 
 
 def estimate(sample: PairedSample, with_variance: bool = False) -> KappaEstimates:
     """All three kappa estimates of one sample from one bundle, and on
-    request the plug-in variance of :func:`delta1_plugin`."""
-    star, tilde, hat = kappa_trio(sample)
-    delta1 = delta1_plugin(sample) if with_variance else None
+    request the plug-in variance of :func:`delta1_plugin`; both take the
+    one unit sample and its row sums."""
+    unit, ex, ey = _unit(sample)
+    a, b = _sorted_row_sums(unit.xs), _sorted_row_sums(unit.ys)
+    star, tilde, hat = (_in_units(kappa, ex + ey) for kappa in kappa_trio(_sweep(unit, rows=(a, b))[0]))
+    delta1 = _in_units(_delta1(unit, a, b), 2 * (ex + ey)) if with_variance else None
     return KappaEstimates(
         kappa_star=star, kappa_tilde=tilde, kappa_hat=hat, n=sample.n, delta1_hat=delta1
     )
@@ -261,7 +268,7 @@ def rho_estimates(sample: PairedSample) -> RhoEstimates:
         If either marginal is constant, making a self-coefficient zero.
     """
     unit = _unit(sample)[0]
-    both = compute_ustats(unit)
+    both = _sweep(unit)[0]
     self_x, self_y = _self_bundle(unit.xs), _self_bundle(unit.ys)
 
     hat_x, hat_y = kappa_hat(self_x), kappa_hat(self_y)

@@ -1,17 +1,18 @@
 """Independence testing, power studies, normality diagnostics, timing.
 
 The permutation test is exact under the null: the second coordinate is
-permuted with the first held fixed, one sweep over B draws gives the
-permuted statistics, the sample's one bundle the observed one, and the
-p-value is ``(1 + #{permuted >= observed}) / (B + 1)``, where a permuted
-statistic within ``1e-12 * statistic_scale`` below the observed one
-counts as a tie, since the two can differ by rounding alone.  The sweep
-draws the permutations block by block, each just before it sweeps it
-(:func:`~kappacov.ustats._drawn_blocks`), so a test's memory grows with
-n but not with B; the draws are those of B ``rng.permutation(n)``
-calls.  The asymptotic route scales the statistic by n and refers it to
-the weighted chi-square null limit built from the empirical marginals,
-whose tail the sample's one null law (as in
+permuted with the first held fixed, the sample's one sweep
+(:func:`~kappacov.ustats._sweep`) gives the observed statistics from its
+identity block and the permuted ones from B draws, and the p-value is
+``(1 + #{permuted >= observed}) / (B + 1)``, where a permuted statistic
+within ``1e-12 * statistic_scale`` below the observed one counts as a
+tie, since the two can differ by rounding alone.  One loop,
+:func:`_exceedances`, counts them, drawing the permutations block by
+block, each just before it sweeps it, so a test's memory grows with n
+but not with B; the draws are those of B ``rng.permutation(n)`` calls.
+The asymptotic route scales the statistic by n and refers it to the
+weighted chi-square null limit built from the empirical marginals, whose
+tail the sample's one null law (as in
 :func:`~kappacov.spectral.null_tail`) computes without simulation, so it
 ignores the permutation count ``b_or_r``; a power study asks it only
 whether the tail is at most alpha.
@@ -20,14 +21,14 @@ A permutation power study needs only whether ``p <= alpha`` too.  That
 holds exactly when at most ``m`` permuted statistics reach the observed
 one, where ``m`` is the largest count that passes the same float test,
 ``(1 + m) / (B + 1) <= alpha`` (Besag & Clifford 1991, Biometrika 78:301).
-So a replicate sweeps its blocks one at a time and stops once every
-requested estimator's count exceeds ``m`` (accept) or can no longer
-exceed it with the rows left (reject); it still draws the blocks it
-does not sweep, one at a time, so the generator moves on as after B
-draws.  Each swept row is computed in the same chunk as in the full
-sweep, so its statistics are the same bits, and no decision, hence no
-power report, can differ from the full p-values'.
-:func:`independence_test` sweeps all B rows for its p-value.
+So a replicate's count stops sweeping once every requested estimator's
+count exceeds ``m`` (accept) or can no longer exceed it with the rows
+left (reject); it still draws the blocks it does not sweep, one at a
+time, so the generator moves on as after B draws.  Each swept row is
+computed in the same chunk as in the full sweep, so its statistics are
+the same bits, and no decision, hence no power report, can differ from
+the full p-values'.  :func:`independence_test` sweeps all B rows for
+its p-value.
 
 All three statistics inflate under dependence, so every test is
 one-sided in the upper tail.  A power study's replicate is a function
@@ -62,7 +63,7 @@ from .estimators import (
 )
 from .samplers import _draw
 from .spectral import _NullLaw, empirical_marginal, kernel_eigenvalues
-from .ustats import UStatBundle, _bundles, _drawn_blocks, _in_units, _swept_bundle, _unit, compute_ustats
+from .ustats import UStatBundle, _drawn_blocks, _in_units, _sweep, _unit, compute_ustats
 
 __all__ = [
     "TestResult",
@@ -212,52 +213,42 @@ class TimingReport:
         return asdict(self)
 
 
-def _tie_floor(observed: UStatBundle) -> np.ndarray:
-    """Per statistic, the least permuted value that reaches the observed one:
-    within the tie tolerance below it."""
-    return np.array(kappa_trio(observed))[:, None] - _TIE_TOLERANCE * statistic_scale(observed)
-
-
-def _permutation_pvalues(
-    unit: PairedSample, observed: UStatBundle, b: int, rng: np.random.Generator
-) -> np.ndarray:
-    """The three permutation p-values of a unit sample with bundle ``observed``
-    from one sweep over ``b`` draws, each block drawn just before it is
-    swept (:func:`~kappacov.ustats._drawn_blocks`)."""
-    trio = np.array(kappa_trio(_swept_bundle(unit, _drawn_blocks(unit.n, b, rng))))
-    exceed = np.count_nonzero(trio >= _tie_floor(observed), axis=1)
-    return (1.0 + exceed) / (b + 1.0)
-
-
-def _permutation_rejections(
-    unit: PairedSample, observed: UStatBundle, b: int, rng: np.random.Generator, alpha: float, estimators
-) -> np.ndarray:
-    """Whether each of ``estimators`` has a permutation p-value at most ``alpha``,
-    as :func:`_permutation_pvalues` would give it, from the same draws.
-
-    The sweep runs block by block and stops once every decision is
-    settled: ``p <= alpha`` holds exactly when at most ``most`` permuted
-    statistics reach the observed one, by the same float test, so a count
-    above ``most`` settles an acceptance and one that the rows left cannot
-    lift above it a rejection.  Each row's statistics are those of the full
-    sweep, bit for bit, so no decision can differ from the full p-value's.
-    The blocks left unswept are still drawn, one at a time, and dropped,
-    so ``rng`` ends where the full sweep leaves it.  Estimators not asked
-    for read 0.
-    """
-    most = np.count_nonzero((1.0 + np.arange(b + 1)) / (b + 1.0) <= alpha) - 1
-    asked = np.isin(ESTIMATOR_NAMES, estimators)
-    floor = _tie_floor(observed)
-    blocks = _drawn_blocks(unit.n, b, rng)
-    bundles = _bundles(unit, blocks)
+def _exceedances(observed: UStatBundle, bundles, b: int, rng: np.random.Generator, settled=None) -> np.ndarray:
+    """Per statistic, how many of ``b`` permuted statistics reach the observed one,
+    from a unit sample's :func:`~kappacov.ustats._sweep`, with each block drawn
+    just before it is swept; the count stops once ``settled(exceed, left)``
+    holds, but the blocks left are still drawn, so ``rng`` ends as after B draws."""
+    # Per statistic, the least permuted value that reaches the observed one.
+    floor = np.array(kappa_trio(observed))[:, None] - _TIE_TOLERANCE * statistic_scale(observed)
+    blocks = _drawn_blocks(observed.n, b, rng)
+    swept = bundles(blocks)
     exceed, left = np.zeros(len(ESTIMATOR_NAMES), dtype=np.int64), b
-    while not np.all(((exceed > most) | (exceed + left <= most))[asked]):
-        trio = np.array(kappa_trio(next(bundles)))
+    while left and not (settled and settled(exceed, left)):
+        trio = np.array(kappa_trio(next(swept)))
         exceed += np.count_nonzero(trio >= floor, axis=1)
         left -= trio.shape[1]
     for _ in blocks:
         pass
-    return asked & (exceed <= most)
+    return exceed
+
+
+def _permutation_rejections(observed: UStatBundle, bundles, b: int, rng, alpha: float, estimators) -> np.ndarray:
+    """Whether each of ``estimators`` has a permutation p-value at most ``alpha``.
+
+    That holds exactly when at most ``most`` permuted statistics reach the
+    observed one, by the same float test, so :func:`_exceedances` stops once
+    each count is above ``most`` (accept) or cannot pass it in the rows left
+    (reject).  Its rows are those of the full count, bit for bit, so no
+    decision can differ from the full p-value's.  Estimators not asked for
+    read 0.
+    """
+    most = np.count_nonzero((1.0 + np.arange(b + 1)) / (b + 1.0) <= alpha) - 1
+    asked = np.isin(ESTIMATOR_NAMES, estimators)
+
+    def settled(exceed, left):
+        return np.all(((exceed > most) | (exceed + left <= most))[asked])
+
+    return asked & (_exceedances(observed, bundles, b, rng, settled) <= most)
 
 
 def _asymptotic_null(unit: PairedSample, observed: UStatBundle, k: int, estimators) -> tuple:
@@ -296,13 +287,14 @@ def independence_test(
     b_or_r = _check_b_or_r(b_or_r)
     index = ESTIMATOR_NAMES.index(estimator)
     unit, ex, ey = _unit(sample)
-    observed = compute_ustats(unit)
+    observed, bundles = _sweep(unit)
     if method == "permutation":
         trio = kappa_trio(observed)
-        p_value = _permutation_pvalues(unit, observed, b_or_r, seed.generator())[index]
+        p_value = (1.0 + _exceedances(observed, bundles, b_or_r, seed.generator())[index]) / (b_or_r + 1.0)
     else:
+        del bundles  # the eigensolves and the tail, where this test's memory peaks, need no sweep
         trio, law, thresholds = _asymptotic_null(unit, observed, spectrum_k, (estimator,))
-        del unit  # the tail, where this test's memory peaks, needs no copy of the sample
+        del unit  # and the tail no copy of the sample
         p_value = law.tail(thresholds[estimator])
     return TestResult(
         statistic_name=f"kappa_{estimator}",
@@ -321,10 +313,11 @@ def _power_replicate(stream, seed, grid, n, method, b_or_r, alpha, spectrum_k, e
     rejected = np.zeros((len(grid), len(ESTIMATOR_NAMES)), dtype=np.int64)
     for ci, spec in enumerate(grid):
         sample = _unit(PairedSample(*_draw(spec, n, rng)))[0]
-        observed = compute_ustats(sample)
+        observed, bundles = _sweep(sample)
         if method == "permutation":
-            rejected[ci] = _permutation_rejections(sample, observed, b_or_r, rng, alpha, estimators)
+            rejected[ci] = _permutation_rejections(observed, bundles, b_or_r, rng, alpha, estimators)
         else:
+            del bundles  # the null law needs no sweep, as in independence_test
             _, law, thresholds = _asymptotic_null(sample, observed, spectrum_k, estimators)
             for name, q in thresholds.items():
                 rejected[ci, ESTIMATOR_NAMES.index(name)] = law.tail(q, level=alpha) <= alpha

@@ -21,17 +21,18 @@ where ``a_i`` and ``b_i`` are the full absolute-difference row sums.
 Every bundle therefore needs four sums: those of ``a`` and ``b``, the
 pair sum of ``|dx| * |dy|`` and the cross sum ``a @ b``.  Permuting
 ``y`` moves only the last two, so one sweep serves one sample and any
-set of permutations of ``y`` alike: :func:`compute_ustats` is its
-identity row, and :func:`permutation_bundles` runs it over all rows of
-an array.  The sweep takes its permutations in blocks of whole chunks
-and sweeps each block only when it is asked for: :func:`_drawn_blocks`
-draws each block from a generator just before it is swept, so a test's
-memory does not grow with its permutation count, and :func:`_bundles`
-hands the rows back one bundle per block, so that a caller can stop
-early.  At every n the row sums ``a`` and ``b`` come from one sort per
-column, :func:`_sorted_row_sums`.  From ``_SORT_MIN_N`` observations
-on, one merge sort, :func:`_merge_levels`, gives the pair sums with no
-n^2 table or pass; below, a gather from the two difference tables does.
+set of permutations of ``y`` alike.  :func:`_sweep` sets up a sample's
+row sums and pair-sum kernel once, sweeps the identity alone as a 1-row
+block for the sample's bundle (:func:`compute_ustats`), and hands back a
+function that sweeps blocks of permutations, one bundle per block, each
+only when it is asked for, so that a caller can stop early.
+:func:`_drawn_blocks` draws each block from a generator just before it
+is swept, so a test's memory does not grow with its permutation count,
+and :func:`permutation_bundles` sweeps the rows of an array.  At every
+n the row sums ``a`` and ``b`` come from one sort per column,
+:func:`_sorted_row_sums`.  From ``_SORT_MIN_N`` observations on, one
+merge sort, :func:`_merge_levels`, gives the pair sums with no n^2
+table or pass; below, a gather from the two difference tables does.
 The plug-in variance takes its row-level sums from
 :func:`_sorted_row_sums` and :func:`_pair_row_sums`.
 :func:`differences` is the one place a difference matrix is built.
@@ -42,7 +43,7 @@ and :func:`_in_units` scales a result back exactly or raises DomainError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -153,8 +154,8 @@ def differences(values: np.ndarray) -> np.ndarray:
 
 
 def compute_ustats(sample: PairedSample) -> UStatBundle:
-    """Compute the full bundle as the identity row of the permutation
-    sweep: O(n log n) time and O(n) memory from ``_SORT_MIN_N``
+    """Compute the full bundle as the identity block of the sample's sweep,
+    :func:`_sweep`: O(n log n) time and O(n) memory from ``_SORT_MIN_N``
     observations on, one n^2 table gather below.
 
     Parameters
@@ -167,9 +168,7 @@ def compute_ustats(sample: PairedSample) -> UStatBundle:
     SampleTooSmall
         If ``sample.n < 3``.
     """
-    sum_x, sum_y, ex, ey, sums = _sweep(sample, [np.arange(sample.n)[None, :]])
-    ((pair_prod, cross),) = sums
-    return _bundle_from_sums(sample.n, sum_x, sum_y, float(pair_prod[0]), float(cross[0]), ex, ey)
+    return _sweep(*_unit(sample))[0]
 
 
 def _symmetrized_triple(xi, xj, xk, yi, yj, yk) -> float:
@@ -438,44 +437,50 @@ def _drawn_blocks(n: int, b: int, rng: np.random.Generator):
         yield rng.permuted(block, axis=1, out=block)
 
 
-def _sweep(sample: PairedSample, blocks):
-    """Sums of ``a`` and ``b`` of the :func:`_unit` sample, its ``ex`` and
-    ``ey``, and an iterator of the pair and cross sums of ``(xs, ys[perm])``
-    per row ``perm`` of each block of ``blocks``.
+def _sweep(unit: PairedSample, ex: int = 0, ey: int = 0, rows: tuple | None = None):
+    """The bundle of ``unit``, a :func:`_unit` sample with exponents ``ex`` and
+    ``ey``, and a function that maps an iterable of permutation blocks to an
+    iterator of one bundle of :func:`permutation_bundles`' kind per block.
 
-    ``blocks`` yields ``np.intp`` arrays of permutations, each of whole
-    chunks of :func:`_chunk_rows` rows but the last, as :func:`_block_rows`
-    makes them.  The iterator takes a block from ``blocks`` and sweeps it
-    only when it is asked for, so a caller can stop between blocks.  The
-    chunks are the slices of each block at multiples of
-    :func:`_chunk_rows`, so they are those of one whole sweep whatever the
-    block size: the matrix-vector products go through BLAS, which blocks
-    rows, so a row's sums can change in the last bit with the rows that
-    share its chunk, and results repeat bit for bit only while the chunks
-    are composed alike.  With OpenBLAS 0.3 at n = 500, moving 40
+    Both come from one setup: the row sums ``a`` and ``b`` (``rows``, where
+    the caller has them already), the pair-sum kernel and the chunk step.
+    The sample's bundle is the identity swept alone as a 1-row block.  The
+    iterator sweeps a block only when it is asked for, so a caller can stop
+    between blocks.  The blocks are ``np.intp`` arrays of permutations, each
+    of whole chunks of :func:`_chunk_rows` rows but the last, as
+    :func:`_block_rows` makes them.  The chunks are the slices of each
+    block at multiples of :func:`_chunk_rows`, so they are those of one
+    whole sweep whatever the block size: the matrix-vector products go
+    through BLAS, which blocks rows, so a row's sums can change in the last
+    bit with the rows that share its chunk, and results repeat bit for bit
+    only while the chunks are composed alike.  With OpenBLAS 0.3 at n = 500, moving 40
     permutations down by three rows changed ``u12`` in 3 of them and
-    sweeping each alone in 23, and :func:`compute_ustats` differed from
-    row 0 of a 200-row sweep in 111 of 120 samples, by at most 4.4e-16 in
-    any kappa: so a test takes its observed trio, the one it reports, from
-    :func:`compute_ustats`.
+    sweeping each alone in 23, and the identity block differed from row 0
+    of a 200-row sweep in 111 of 120 samples, by at most 4.4e-16 in any
+    kappa: so a test compares its permuted statistics with the identity
+    block's, the ones it reports.
     """
-    if sample.n < 3:
-        raise SampleTooSmall(f"need at least 3 observations, got {sample.n}")
-    sample, ex, ey = _unit(sample)
-    a, b = _sorted_row_sums(sample.xs), _sorted_row_sums(sample.ys)
-    pair_sums = _gather_kernel(sample) if sample.n < _SORT_MIN_N else _sort_kernel(sample, b)
-    step = _chunk_rows(sample.n)
+    n = unit.n
+    if n < 3:
+        raise SampleTooSmall(f"need at least 3 observations, got {n}")
+    a, b = rows or (_sorted_row_sums(unit.xs), _sorted_row_sums(unit.ys))
+    pair_sums = _gather_kernel(unit) if n < _SORT_MIN_N else _sort_kernel(unit, b)
+    step = _chunk_rows(n)
+    sum_x, sum_y = float(a.sum()), float(b.sum())
 
-    def swept():
-        for block in blocks:
-            pair_prod, cross = np.empty(len(block)), np.empty(len(block))
-            for start in range(0, len(block), step):
-                chunk = block[start : start + step]
-                pair_prod[start : start + step] = pair_sums(chunk)
-                cross[start : start + step] = b[chunk] @ a
-            yield pair_prod, cross
+    def swept(block: np.ndarray) -> tuple:
+        pair_prod, cross = np.empty(len(block)), np.empty(len(block))
+        for start in range(0, len(block), step):
+            chunk = block[start : start + step]
+            pair_prod[start : start + step] = pair_sums(chunk)
+            cross[start : start + step] = b[chunk] @ a
+        return pair_prod, cross
 
-    return float(a.sum()), float(b.sum()), ex, ey, swept()
+    def bundles(blocks):
+        return (_bundle_from_sums(n, sum_x, sum_y, *swept(block), ex, ey) for block in blocks)
+
+    pair_prod, cross = swept(np.arange(n)[None, :])
+    return _bundle_from_sums(n, sum_x, sum_y, float(pair_prod[0]), float(cross[0]), ex, ey), bundles
 
 
 def permutation_bundles(sample: PairedSample, perms: np.ndarray) -> UStatBundle:
@@ -485,10 +490,10 @@ def permutation_bundles(sample: PairedSample, perms: np.ndarray) -> UStatBundle:
     ``range(n)``.  Returns one :class:`UStatBundle` in which the fields
     that a permutation moves, ``u12``, ``u3``, ``v12`` and ``v3``, are
     length-``B`` arrays, so the estimator formulas apply to it unchanged.
-    The sweep the module docstring describes takes ``perms`` slice by
+    The sample's one sweep (:func:`_sweep`) takes ``perms`` slice by
     slice, in the blocks and chunks of a test's drawn permutations, so
-    each row gets the same bits as there; the cross sums are
-    ``b[perm] @ a``.
+    each row gets the same bits as there, and the bundles of the blocks
+    are joined; the cross sums are ``b[perm] @ a``.
 
     Raises
     ------
@@ -500,18 +505,6 @@ def permutation_bundles(sample: PairedSample, perms: np.ndarray) -> UStatBundle:
     blocks = (
         perms[first : first + rows].astype(np.intp, copy=False) for first in range(0, max(1, len(perms)), rows)
     )
-    return _swept_bundle(sample, blocks)
-
-
-def _swept_bundle(sample: PairedSample, blocks) -> UStatBundle:
-    """The bundle of :func:`permutation_bundles` for every row of ``blocks``."""
-    sum_x, sum_y, ex, ey, sums = _sweep(sample, blocks)
-    pair_prod, cross = map(np.concatenate, zip(*sums))
-    return _bundle_from_sums(sample.n, sum_x, sum_y, pair_prod, cross, ex, ey)
-
-
-def _bundles(sample: PairedSample, blocks):
-    """One bundle of :func:`permutation_bundles`' kind per block of ``blocks``,
-    each swept only when it is asked for."""
-    sum_x, sum_y, ex, ey, sums = _sweep(sample, blocks)
-    return (_bundle_from_sums(sample.n, sum_x, sum_y, pair_prod, cross, ex, ey) for pair_prod, cross in sums)
+    parts = list(_sweep(*_unit(sample))[1](blocks))
+    moved = ("u12", "u3", "v12", "v3")
+    return replace(parts[0], **{field: np.concatenate([getattr(part, field) for part in parts]) for field in moved})

@@ -1,8 +1,10 @@
 """Independence tests, power studies, normality diagnostics, timing."""
 
 import concurrent.futures
+import gc
 import math
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -104,9 +106,8 @@ def test_permutation_pvalues_count_ties_exactly(monkeypatch):
         expected = (1.0 + (exact[1:] >= exact[0]).sum(axis=0)) / (b + 1.0)
         for cut in (0, 10**9):
             monkeypatch.setattr(ustats, "_SORT_MIN_N", cut)
-            got = inference._permutation_pvalues(
-                sample, compute_ustats(sample), b, np.random.default_rng(trial)
-            )
+            observed, bundles = ustats._sweep(*ustats._unit(sample))
+            got = (1.0 + inference._exceedances(observed, bundles, b, np.random.default_rng(trial))) / (b + 1.0)
             assert np.array_equal(got, expected.astype(float)), (trial, cut)
 
 
@@ -129,13 +130,12 @@ def test_permutation_draws_are_successive_permutation_calls(monkeypatch, n):
             yield block
 
     monkeypatch.setattr(inference, "_drawn_blocks", capturing)
-    unit = ustats._unit(sample_family(NULL_SPEC, n, SeedSpec(n)))[0]
-    observed = compute_ustats(unit)
     rows = _counting_rows(monkeypatch)
+    observed, bundles = ustats._sweep(ustats._unit(sample_family(NULL_SPEC, n, SeedSpec(n)))[0])
     names = inference.ESTIMATOR_NAMES
     for full, decide in (
-        (True, lambda rng: inference._permutation_pvalues(unit, observed, b, rng)),
-        (False, lambda rng: inference._permutation_rejections(unit, observed, b, rng, 0.05, names)),
+        (True, lambda rng: inference._exceedances(observed, bundles, b, rng)),
+        (False, lambda rng: inference._permutation_rejections(observed, bundles, b, rng, 0.05, names)),
     ):
         drawn.clear()
         rows.clear()
@@ -154,13 +154,13 @@ def test_permutation_pvalue_compares_the_reported_statistic(monkeypatch, cut):
     # whose statistic the test reports, under either kernel.
     monkeypatch.setattr(ustats, "_SORT_MIN_N", cut)
     seen = []
-    pvalues = inference._permutation_pvalues
+    exceedances = inference._exceedances
 
-    def capturing(unit, observed, b, rng):
+    def capturing(observed, *args):
         seen.append(observed)
-        return pvalues(unit, observed, b, rng)
+        return exceedances(observed, *args)
 
-    monkeypatch.setattr(inference, "_permutation_pvalues", capturing)
+    monkeypatch.setattr(inference, "_exceedances", capturing)
     for n in (20, 150):
         # Already in unit scale, so the statistic is reported unscaled.
         sample = ustats._unit(sample_family(DEP_SPEC, n, SeedSpec(n)))[0]
@@ -171,20 +171,54 @@ def test_permutation_pvalue_compares_the_reported_statistic(monkeypatch, cut):
             seen.clear()
 
 
-def test_one_bundle_per_sample(monkeypatch):
-    # Each test and each power-study replicate computes its sample's bundle
-    # once, and both methods read it.
+def test_one_sweep_per_sample(monkeypatch):
+    # Each test and each power-study cell sets up its sample's sweep once,
+    # sorting each column's row sums once, and both methods read the
+    # observed bundle from it.
     calls = []
-    bundle = inference.compute_ustats
-    monkeypatch.setattr(inference, "compute_ustats", lambda unit: calls.append(unit.n) or bundle(unit))
+    row_sums = ustats._sorted_row_sums
+    monkeypatch.setattr(ustats, "_sorted_row_sums", lambda values: calls.append(values.size) or row_sums(values))
     sample = sample_family(DEP_SPEC, 30, SeedSpec(6))
     for method in ("permutation", "asymptotic_null"):
         independence_test(sample, method=method, b_or_r=99, spectrum_k=20)
-        assert calls == [30], method
+        assert calls == [30] * 2, method
         calls.clear()
         power_study([NULL_SPEC, DEP_SPEC], n=20, replicates=100, method=method, b_or_r=99, spectrum_k=20)
-        assert calls == [20] * 200, method
+        assert calls == [20] * 2 * 200, method
         calls.clear()
+
+
+def test_asymptotic_test_frees_its_sweep_before_its_null_law(monkeypatch):
+    # The sweep's function holds the row sums and the kernel (below n = 108,
+    # two n^2 tables); the eigensolves and the tail, where an asymptotic
+    # test's or power replicate's memory peaks, run without them.
+    swept, checked = [], []
+    sweep = inference._sweep
+
+    def keeping(unit):
+        observed, bundles = sweep(unit)
+        swept.append(weakref.ref(bundles))
+        return observed, bundles
+
+    def checking(func):
+        def call(*args, **kwargs):
+            gc.collect()
+            assert swept[-1]() is None, func.__name__
+            checked.append(func.__name__)
+            return func(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(inference, "_sweep", keeping)
+    monkeypatch.setattr(inference, "kernel_eigenvalues", checking(inference.kernel_eigenvalues))
+    monkeypatch.setattr(spectral._NullLaw, "tail", checking(spectral._NullLaw.tail))
+    for n in (30, 150):
+        independence_test(sample_family(DEP_SPEC, n, SeedSpec(n)), method="asymptotic_null", spectrum_k=20)
+    assert len(swept) == 2 and checked == ["kernel_eigenvalues", "kernel_eigenvalues", "tail"] * 2
+    checked.clear()
+    names = inference.ESTIMATOR_NAMES
+    inference._power_replicate(0, SeedSpec(0), (NULL_SPEC, DEP_SPEC), 20, "asymptotic_null", 99, 0.05, 20, names)
+    assert len(swept) == 4 and checked == (["kernel_eigenvalues"] * 2 + ["tail"] * 3) * 2
 
 
 def _counting_rows(monkeypatch):
@@ -224,10 +258,9 @@ def test_early_decisions_match_full_pvalues(monkeypatch, cut, elements):
     b, names = 199, inference.ESTIMATOR_NAMES
     rows, stopped = _counting_rows(monkeypatch), 0
     for sample in _decision_samples(30):
-        unit = ustats._unit(sample)[0]
-        observed = compute_ustats(unit)
+        observed, bundles = ustats._sweep(ustats._unit(sample)[0])
         full_rng, rng = np.random.default_rng(7), np.random.default_rng(7)
-        pvalues = inference._permutation_pvalues(unit, observed, b, full_rng)
+        pvalues = (1.0 + inference._exceedances(observed, bundles, b, full_rng)) / (b + 1.0)
         exceed = np.rint(pvalues * (b + 1)).astype(int) - 1
         for k in range(len(names)):
             for most in {exceed[k], exceed[k] - 1} - {-1}:
@@ -236,7 +269,7 @@ def test_early_decisions_match_full_pvalues(monkeypatch, cut, elements):
                     asked = np.isin(names, estimators)
                     rows.clear()
                     rng = np.random.default_rng(7)
-                    got = inference._permutation_rejections(unit, observed, b, rng, alpha, estimators)
+                    got = inference._permutation_rejections(observed, bundles, b, rng, alpha, estimators)
                     assert np.array_equal(got, asked & (pvalues <= alpha)), (most, estimators)
                     assert rng.bit_generator.state == full_rng.bit_generator.state
                     stopped += sum(rows) < b
@@ -251,12 +284,11 @@ def test_settled_alphas_sweep_nothing(monkeypatch, cut):
     b, names = 199, inference.ESTIMATOR_NAMES
     rows = _counting_rows(monkeypatch)
     for sample in _decision_samples(30):
-        unit = ustats._unit(sample)[0]
-        observed = compute_ustats(unit)
+        observed, bundles = ustats._sweep(ustats._unit(sample)[0])
         rows.clear()
         for alpha, expected in ((0.999 / (b + 1), False), (1.0, True)):
             rng, twin = np.random.default_rng(3), np.random.default_rng(3)
-            got = inference._permutation_rejections(unit, observed, b, rng, alpha, names)
+            got = inference._permutation_rejections(observed, bundles, b, rng, alpha, names)
             assert np.array_equal(got, np.full(len(names), expected)), alpha
             [twin.permutation(30) for _ in range(b)]
             assert rng.bit_generator.state == twin.bit_generator.state
@@ -264,7 +296,7 @@ def test_settled_alphas_sweep_nothing(monkeypatch, cut):
     rows.clear()
     report = power_study([DEP_SPEC], n=30, replicates=100, alpha=0.004, b_or_r=b)
     assert all(cell.power == 0.0 for cell in report.cells)
-    # One row per replicate: compute_ustats's observed bundle.
+    # One row per replicate: the sweep's identity block.
     assert rows == [1] * 100
 
 

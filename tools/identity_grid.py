@@ -10,8 +10,9 @@ outputs; an empty diff means the trees agree bit for bit:
 The grid covers n in {3, 20, 107, 108, 500} (both sides of the sweep's
 kernel switch), each with untied normal columns, columns tied to three
 values, and columns offset by 1e9.  For each sample it records the
-bundle, the three estimates with ``delta1_hat``, rho, and both tests'
-p-values and statistics for each estimator.  Permutation tests with
+bundle, the three estimates with ``delta1_hat``, rho, both tests'
+p-values and statistics for each estimator, and ``permutation_bundles``
+on 5 fixed permutations and on none.  Permutation tests with
 B = 99 at n = 4096 and n = 4097 add sort-kernel chunks of 2 rows, the
 last one partial, and of 1 row.  Then come permutation and asymptotic
 ``PowerReport``s at n = 30 (the gather) and n = 120 (the sort kernel,
@@ -29,6 +30,8 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 SIZES = (3, 20, 107, 108, 500)
 LARGE_SIZES = (4096, 4097)
@@ -75,6 +78,9 @@ def grid(kc) -> dict:
             "estimates": _outcome(lambda: kc.estimate(sample, with_variance=True)),
             "rho": _outcome(lambda: kc.rho_estimates(sample)),
         }
+        perms = np.array([np.random.default_rng(seed).permutation(sample.n) for seed in range(5)])
+        for count in (5, 0):
+            row[f"permutation_bundles {count}"] = _outcome(lambda: kc.ustats.permutation_bundles(sample, perms[:count]))
         for method in ("permutation", "asymptotic_null"):
             for name in ("star", "tilde", "hat"):
                 row[f"{method} {name}"] = _outcome(
