@@ -16,125 +16,88 @@ This namespace exports what those workflows use.  The test oracles
 (brute-force and direct sums, the dense eigensolver, quadrature, the
 simulated null limit) and the engine's internals stay importable from
 their own modules.
+
+The namespace is lazy (PEP 562): ``import kappacov`` loads none of the
+modules, hence not numpy, and a name loads its module when it is first
+used.  So ``kappacov.cli.run`` can set the BLAS thread count before
+numpy starts.
 """
 
-from .core import (
-    FAMILIES,
-    FamilySpec,
-    PairedSample,
-    SeedSpec,
-    load_sample,
-    write_sample,
-)
-from .errors import (
-    AllValuesEqual,
-    DegenerateGrid,
-    DegenerateMarginal,
-    DomainError,
-    EmptySpectrum,
-    InvalidSample,
-    KappaCovError,
-    NonMonotoneQuantile,
-    NOnPositive,
-    ParseError,
-    SampleIOError,
-    SampleTooSmall,
-    ThetaOutOfRange,
-    TooFewRows,
-    UnknownEstimator,
-    UnsupportedFamily,
-)
-from .ustats import UStatBundle, compute_ustats
-from .estimators import (
-    KappaEstimates,
-    RhoEstimates,
-    delta1_plugin,
-    estimate,
-    kappa_hat,
-    kappa_star,
-    kappa_tilde,
-    rho_estimates,
-)
-from .closedform import kappa_bvn, kappa_gbed, population_kappa
-from .spectral import (
-    DiscreteMarginal,
-    EigenSpectrum,
-    discretize_marginal,
-    empirical_marginal,
-    kernel_eigenvalues,
-    null_tail,
-)
-from .samplers import marginal_quantile, sample_family
-from .inference import (
-    NormalityReport,
-    NormalityRow,
-    PowerCell,
-    PowerReport,
-    TestResult,
-    TimingReport,
-    independence_test,
-    normality_diagnostic,
-    power_study,
-    timing_benchmark,
-)
-from .cli import run
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "FAMILIES",
-    "FamilySpec",
-    "PairedSample",
-    "SeedSpec",
-    "load_sample",
-    "write_sample",
-    "AllValuesEqual",
-    "DegenerateGrid",
-    "DegenerateMarginal",
-    "DomainError",
-    "EmptySpectrum",
-    "InvalidSample",
-    "KappaCovError",
-    "NonMonotoneQuantile",
-    "NOnPositive",
-    "ParseError",
-    "SampleIOError",
-    "SampleTooSmall",
-    "ThetaOutOfRange",
-    "TooFewRows",
-    "UnknownEstimator",
-    "UnsupportedFamily",
-    "UStatBundle",
-    "compute_ustats",
-    "KappaEstimates",
-    "RhoEstimates",
-    "delta1_plugin",
-    "estimate",
-    "kappa_hat",
-    "kappa_star",
-    "kappa_tilde",
-    "rho_estimates",
-    "kappa_bvn",
-    "kappa_gbed",
-    "population_kappa",
-    "DiscreteMarginal",
-    "EigenSpectrum",
-    "discretize_marginal",
-    "empirical_marginal",
-    "kernel_eigenvalues",
-    "null_tail",
-    "marginal_quantile",
-    "sample_family",
-    "NormalityReport",
-    "NormalityRow",
-    "PowerCell",
-    "PowerReport",
-    "TestResult",
-    "TimingReport",
-    "independence_test",
-    "normality_diagnostic",
-    "power_study",
-    "timing_benchmark",
-    "run",
-]
+# Each exported name, grouped by the module that defines it.
+_EXPORTS = {
+    "core": ("FAMILIES", "FamilySpec", "PairedSample", "SeedSpec", "load_sample", "write_sample"),
+    "errors": (
+        "AllValuesEqual",
+        "DegenerateGrid",
+        "DegenerateMarginal",
+        "DomainError",
+        "EmptySpectrum",
+        "InvalidSample",
+        "KappaCovError",
+        "NonMonotoneQuantile",
+        "NOnPositive",
+        "ParseError",
+        "SampleIOError",
+        "SampleTooSmall",
+        "ThetaOutOfRange",
+        "TooFewRows",
+        "UnknownEstimator",
+        "UnsupportedFamily",
+    ),
+    "ustats": ("UStatBundle", "compute_ustats"),
+    "estimators": (
+        "KappaEstimates",
+        "RhoEstimates",
+        "delta1_plugin",
+        "estimate",
+        "kappa_hat",
+        "kappa_star",
+        "kappa_tilde",
+        "rho_estimates",
+    ),
+    "closedform": ("kappa_bvn", "kappa_gbed", "population_kappa"),
+    "spectral": (
+        "DiscreteMarginal",
+        "EigenSpectrum",
+        "discretize_marginal",
+        "empirical_marginal",
+        "kernel_eigenvalues",
+        "null_tail",
+    ),
+    "samplers": ("marginal_quantile", "sample_family"),
+    "inference": (
+        "NormalityReport",
+        "NormalityRow",
+        "PowerCell",
+        "PowerReport",
+        "TestResult",
+        "TimingReport",
+        "independence_test",
+        "normality_diagnostic",
+        "power_study",
+        "timing_benchmark",
+    ),
+    "cli": ("run",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name: str):
+    """Import an exported name's module, or a submodule, on first use."""
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))

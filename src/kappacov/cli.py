@@ -7,6 +7,12 @@ spectra, ``kappa-theta`` the closed-form curves, and ``power`` /
 table`` renders aligned columns and ``--output csv`` machine-readable
 rows.  Usage errors exit with 2, runtime failures print one
 ``ErrorName: message`` line to stderr and exit with 1.
+
+Importing this module loads no numpy; each command imports the modules
+it uses.  Unless numpy is already loaded, :func:`run` first sets
+``OPENBLAS_NUM_THREADS`` to 1 where the caller has not set it, so the
+process, and the workers ``power --threads`` starts from it, run BLAS on
+one thread.
 """
 
 from __future__ import annotations
@@ -15,16 +21,11 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 
-from .closedform import kappa_quadrature_oracle, population_kappa
-from .core import FAMILIES, FamilySpec, SeedSpec, load_sample, write_sample
 from .errors import KappaCovError
-from .estimators import estimate, rho_estimates
-from .inference import ESTIMATOR_NAMES, independence_test, power_study, timing_benchmark
-from .samplers import marginal_quantile, sample_family
-from .spectral import discretize_marginal, empirical_marginal, kernel_eigenvalues
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -123,6 +124,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _cmd_estimate(args) -> _Output:
+    from .core import load_sample
+    from .estimators import ESTIMATOR_NAMES, estimate, rho_estimates
+
     sample = load_sample(args.input)
     values = estimate(sample, with_variance=args.variance)
     payload: dict = {"n": values.n}
@@ -138,6 +142,9 @@ def _cmd_estimate(args) -> _Output:
 
 
 def _cmd_test(args) -> _Output:
+    from .core import SeedSpec, load_sample
+    from .inference import independence_test
+
     sample = load_sample(args.input)
     result = independence_test(
         sample,
@@ -151,6 +158,10 @@ def _cmd_test(args) -> _Output:
 
 
 def _cmd_eigen(args) -> _Output:
+    from .core import FamilySpec, load_sample
+    from .samplers import marginal_quantile
+    from .spectral import discretize_marginal, empirical_marginal, kernel_eigenvalues
+
     if args.marginal == "empirical":
         if args.input is None:
             raise _UsageError("--marginal empirical requires --input")
@@ -171,6 +182,9 @@ def _cmd_eigen(args) -> _Output:
 
 
 def _cmd_sample(args) -> _Output:
+    from .core import FamilySpec, SeedSpec, write_sample
+    from .samplers import sample_family
+
     spec = FamilySpec(args.family, args.theta, args.sigma1, args.sigma2)
     sample = sample_family(spec, args.n, SeedSpec(args.seed))
     write_sample(args.out, sample)
@@ -185,6 +199,9 @@ def _cmd_sample(args) -> _Output:
 
 
 def _cmd_kappa_theta(args) -> _Output:
+    from .closedform import kappa_quadrature_oracle, population_kappa
+    from .core import FamilySpec
+
     spec = FamilySpec(args.family, args.theta, args.sigma1, args.sigma2)
     payload = {
         "family": args.family,
@@ -199,6 +216,9 @@ def _cmd_kappa_theta(args) -> _Output:
 
 
 def _cmd_power(args) -> _Output:
+    from .core import FamilySpec, SeedSpec
+    from .inference import power_study
+
     grid = [
         FamilySpec(family, theta)
         for family in args.families
@@ -227,6 +247,9 @@ def _cmd_power(args) -> _Output:
 
 
 def _cmd_bench(args) -> _Output:
+    from .core import FamilySpec, SeedSpec
+    from .inference import timing_benchmark
+
     reports = timing_benchmark(
         tuple(args.estimators),
         n=args.n,
@@ -243,6 +266,9 @@ def _cmd_bench(args) -> _Output:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .core import FAMILIES
+    from .estimators import ESTIMATOR_NAMES
+
     parser = argparse.ArgumentParser(
         prog="kappacov",
         description="Estimate and test a squared-distance covariance between paired observations.",
@@ -342,6 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    """Run one command on ``argv`` (default ``sys.argv[1:]``); return its exit code."""
+    if "numpy" not in sys.modules:
+        # Every BLAS call here is a vector-length product, which OpenBLAS
+        # threads only above about 1e4 entries, and there it ran no faster
+        # and gave other last bits; starting its helper threads made a cold
+        # numpy import about 70 ms slower on a 2-vCPU box.
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

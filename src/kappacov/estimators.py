@@ -36,6 +36,7 @@ from .ustats import UStatBundle, differences
 from .ustats import _bundle_from_sums, _in_units, _pair_row_sums, _sorted_row_sums, _sweep, _unit
 
 __all__ = [
+    "ESTIMATOR_NAMES",
     "KappaEstimates",
     "RhoEstimates",
     "kappa_star",
@@ -50,6 +51,9 @@ __all__ = [
     "estimate",
     "rho_estimates",
 ]
+
+# The estimators, ``kappa_<name>``, in the order :func:`kappa_trio` returns them.
+ESTIMATOR_NAMES = ("star", "tilde", "hat")
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,7 @@ from .closedform import population_kappa
 from .core import FamilySpec, PairedSample, SeedSpec
 from .errors import DomainError, SampleTooSmall, UnknownEstimator
 from .estimators import (
+    ESTIMATOR_NAMES,
     estimate,
     kappa_hat,
     kappa_star,
@@ -78,7 +79,6 @@ __all__ = [
     "timing_benchmark",
 ]
 
-ESTIMATOR_NAMES = ("star", "tilde", "hat")
 _METHODS = ("permutation", "asymptotic_null")
 _DEFAULT_SPECTRUM_K = 100
 # Floor on the permutation count b_or_r, checked for both methods.

@@ -139,13 +139,17 @@ def _unit(sample: PairedSample) -> tuple:
 
 
 def _in_units(value, e: int):
-    """``value * 2**e`` exactly, or ``DomainError`` where that is no normal float64."""
+    """``value * 2**e`` exactly, subnormal results included, or ``DomainError``
+    where float64 cannot hold it without losing a bit."""
     if isinstance(value, np.ndarray):
         return np.array([_in_units(v, e) for v in value.tolist()]) if e else value
-    mantissa, exponent = math.frexp(value)
-    if e and mantissa and not -1021 <= exponent + e <= 1024:
+    try:
+        scaled = math.ldexp(value, e)
+    except OverflowError:
+        scaled = math.inf
+    if e and math.ldexp(scaled, -e) != value:
         raise DomainError(f"a result {'under' if e < 0 else 'over'}flows float64 in the data's units (2**{e})")
-    return math.ldexp(value, e)
+    return scaled
 
 
 def differences(values: np.ndarray) -> np.ndarray:

@@ -188,15 +188,19 @@ def test_cold_cli_loads_no_scipy(tmp_path):
         "def loaded(*prefixes):\n"
         "    return sorted(m for m in sys.modules if m.startswith(prefixes))\n"
         "after_import = loaded('scipy', 'multiprocessing')\n"
-        f"codes = [kappacov.cli.run(argv) for argv in {commands!r}]\n"
-        "print(json.dumps([after_import, codes, loaded('scipy')]))\n"
+        "runs = []\n"
+        f"for argv in {commands!r}:\n"
+        "    runs.append([kappacov.cli.run(argv), loaded('scipy', 'kappacov.inference', 'kappacov.spectral')])\n"
+        "print(json.dumps([after_import, runs]))\n"
     )
     child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert child.returncode == 0, child.stderr
-    after_import, codes, after_runs = json.loads(child.stdout.splitlines()[-1])
+    after_import, runs = json.loads(child.stdout.splitlines()[-1])
     assert after_import == []
-    assert codes == [0, 0, 0]
-    assert after_runs == []
+    assert [code for code, _ in runs] == [0, 0, 0]
+    # sample and estimate load neither the tests nor the spectra.
+    assert runs[0][1] == runs[1][1] == []
+    assert not [m for m in runs[2][1] if m.startswith("scipy")]
     for argv in (
         ["eigen", "--marginal", "normal", "--t", "200", "--k", "5"],
         ["test", "--input", path, "--method", "asymptotic", "--seed", "7"],
@@ -205,6 +209,50 @@ def test_cold_cli_loads_no_scipy(tmp_path):
             [sys.executable, "-m", "kappacov", *argv], capture_output=True, text=True, env=env, timeout=120
         )
         assert child.returncode == 0, child.stderr
+
+
+def _fresh_state(code, *args, **env_vars):
+    """The last stdout line, as JSON, of ``python -c code *args`` in a new
+    interpreter whose environment lacks ``OPENBLAS_NUM_THREADS`` unless
+    ``env_vars`` sets it."""
+    import kappacov
+
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(env_vars, PYTHONPATH=os.path.dirname(os.path.dirname(kappacov.__file__)))
+    child = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout.splitlines()[-1])
+
+
+_ESTIMATE_STATE = (
+    "import json, os, sys\n"
+    "from kappacov.cli import run\n"
+    "code = run(['estimate', '--input', sys.argv[1], '--rho', '--variance'])\n"
+    "tasks = len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else None\n"
+    "print(json.dumps([code, os.environ.get('OPENBLAS_NUM_THREADS'), tasks]))\n"
+)
+
+
+def test_import_loads_no_numpy():
+    assert _fresh_state("import json, sys, kappacov\nprint(json.dumps('numpy' in sys.modules))") is False
+
+
+def test_cli_runs_blas_on_one_thread(sample_csv):
+    code, threads, tasks = _fresh_state(_ESTIMATE_STATE, sample_csv[0])
+    assert code == 0 and threads == "1"
+    if tasks is None:
+        pytest.skip("/proc/self/task is Linux only")
+    assert tasks == 1
+
+
+def test_cli_keeps_callers_blas_threads(sample_csv):
+    code, threads, _ = _fresh_state(_ESTIMATE_STATE, sample_csv[0], OPENBLAS_NUM_THREADS="2")
+    assert code == 0 and threads == "2"
+    # A caller that loaded numpy first chose its threads already.
+    code, threads, _ = _fresh_state("import numpy\n" + _ESTIMATE_STATE, sample_csv[0])
+    assert code == 0 and threads is None
 
 
 def test_eigen_analytic_marginal(capsys):

@@ -186,11 +186,28 @@ def test_power_of_two_scale_property(data):
     for name in ("x", "y"):
         values = data.draw(st.sampled_from([untied, tied]), label=f"{name} values")
         columns.append(np.array(data.draw(st.lists(values, min_size=n, max_size=n), label=name)))
-    base = PairedSample(*columns)
     kx, ky = (data.draw(st.integers(-1000, 1000), label=label) for label in ("kx", "ky"))
+    cut = data.draw(st.sampled_from([0, 10**9]), label="_SORT_MIN_N")
+    name = data.draw(st.sampled_from(["star", "tilde", "hat"]), label="estimator")
+    _check_power_of_two_scale(PairedSample(*columns), kx, ky, cut, name)
+
+
+@pytest.mark.parametrize("name", ["star", "tilde", "hat"])
+def test_power_of_two_scale_exact_subnormal(name):
+    # kappa_tilde here is -0x1.2c85c21a29f60p-33, and its ldexp by -990 is
+    # the subnormal -1.306024888867441e-308 exactly, so the scaled sample
+    # gives that value rather than an underflow.
+    base = PairedSample(np.array([0.0] * 7 + [0.001]), np.array([0.0] * 6 + [0.001, 0.0]))
+    assert kappa_tilde(base) == float.fromhex("-0x1.2c85c21a29f60p-33")
+    _check_power_of_two_scale(base, 0, -990, 0, name)
+    assert kappa_tilde(PairedSample(base.xs, np.ldexp(base.ys, -990))) == -1.306024888867441e-308
+
+
+def _check_power_of_two_scale(base, kx, ky, cut, name):
+    """The scale property of ``base`` scaled by ``2**kx`` and ``2**ky``,
+    with ``_SORT_MIN_N`` at ``cut`` and the tests run for estimator ``name``."""
     scaled = PairedSample(np.ldexp(base.xs, kx), np.ldexp(base.ys, ky))
     exy = kx + ky
-    cut = data.draw(st.sampled_from([0, 10**9]), label="_SORT_MIN_N")
     with mock.patch.object(ustats, "_SORT_MIN_N", cut):
         fields = ("u1", "u2", "u12", "u3", "v1", "v2", "v12", "v3")
         bundle = compute_ustats(base)
@@ -211,7 +228,6 @@ def test_power_of_two_scale_property(data):
         else:
             assert rho_estimates(scaled) == rho
 
-        name = data.draw(st.sampled_from(["star", "tilde", "hat"]), label="estimator")
         for method in ("permutation", "asymptotic_null"):
             args = (name, method, 99, SeedSpec(1), 20)
             try:

@@ -21,6 +21,13 @@ serial and with ``threads=2``, and permutation ones that request
 ``("tilde",)`` or ``("star", "hat")`` at alpha 0.01 and 0.2.  Every float
 is written by ``float.hex``, and an error by its class name and message,
 so any change in any bit shows.
+
+Last, each of the seven CLI subcommands runs on small fixed inputs, each
+in a new interpreter with the tree's ``src`` on ``PYTHONPATH`` and
+``OPENBLAS_NUM_THREADS`` unset, so each tree picks its own BLAS threads;
+the section records the exit code, stdout and stderr of each, the file
+``sample`` writes, and a usage error and a computation error.  ``bench``
+times itself, so its seconds are left out.
 """
 
 from __future__ import annotations
@@ -28,7 +35,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +129,58 @@ def grid(kc) -> dict:
     return out
 
 
+CLI_ENTRY = "import sys; from kappacov.cli import run; sys.exit(run())"
+CLI_COMMANDS = (
+    ["estimate", "--input", "a.csv", "--rho", "--variance"],
+    ["estimate", "--input", "b.csv", "--estimator", "tilde", "--output", "csv"],
+    ["test", "--input", "a.csv", "--method", "permutation", "--b", "199", "--seed", "7"],
+    ["test", "--input", "b.csv", "--method", "asymptotic", "--seed", "7", "--output", "table"],
+    ["test", "--input", "a.csv", "--b", "98"],
+    ["eigen", "--marginal", "normal", "--t", "300", "--k", "10"],
+    ["eigen", "--marginal", "empirical", "--input", "a.csv", "--column", "y", "--k", "5", "--output", "table"],
+    ["eigen", "--marginal", "empirical"],
+    ["sample", "--family", "chisquare", "--theta", "0.4", "--n", "50", "--seed", "3", "--out", "s.csv"],
+    ["kappa-theta", "--family", "exponential", "--theta", "0.5", "--oracle"],
+    ["power", "--families", "normal,laplace", "--thetas", "0,0.5", "--n", "30", "--replicates", "100", "--b", "99",
+     "--threads", "2"],
+    ["power", "--thetas", "0,0.5", "--n", "50", "--replicates", "100", "--method", "asymptotic", "--output", "csv"],
+    ["bench", "--estimators", "star,hat", "--n", "50", "--evals", "10"],
+    ["estimate"],
+)
+
+
+def _write_inputs(folder: Path) -> None:
+    """a.csv, 200 untied normal pairs, and b.csv, 60 pairs tied to few values,
+    written from fixed numbers so both trees read the same bytes."""
+    rng = np.random.default_rng(2024)
+    xs = rng.normal(size=200)
+    ys = 0.5 * xs + rng.normal(size=200)
+    (folder / "a.csv").write_text("x,y\n" + "".join(f"{float(x)!r},{float(y)!r}\n" for x, y in zip(xs, ys)))
+    (folder / "b.csv").write_text("x,y\n" + "".join(f"{x:.1f},{y:.1f}\n" for x, y in zip(xs[:60], ys[:60])))
+
+
+def cold_cli(src: str) -> dict:
+    """Exit code, stdout and stderr of each of ``CLI_COMMANDS`` in a new
+    interpreter, and the file ``sample`` writes."""
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src
+    out = {}
+    with tempfile.TemporaryDirectory() as folder:
+        _write_inputs(Path(folder))
+        for argv in CLI_COMMANDS:
+            done = subprocess.run(
+                [sys.executable, "-c", CLI_ENTRY, *argv], cwd=folder, env=env,
+                capture_output=True, text=True, timeout=600,
+            )
+            stdout = done.stdout
+            if argv[0] == "bench" and done.returncode == 0:
+                reports = json.loads(stdout)["reports"]
+                stdout = [{k: v for k, v in r.items() if not k.endswith("_seconds")} for r in reports]
+            out[" ".join(argv)] = {"code": done.returncode, "stdout": stdout, "stderr": done.stderr}
+        out["sample s.csv"] = (Path(folder) / "s.csv").read_text()
+    return out
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -129,7 +191,9 @@ def main() -> None:
     sys.path.insert(0, args.src)
     import kappacov
 
-    json.dump(grid(kappacov), sys.stdout, indent=1, sort_keys=True)
+    out = grid(kappacov)
+    out["cold cli"] = cold_cli(args.src)
+    json.dump(out, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
 
 
