@@ -371,9 +371,9 @@ def run(argv=None) -> int:
     """Run one command on ``argv`` (default ``sys.argv[1:]``); return its exit code."""
     if "numpy" not in sys.modules:
         # Every BLAS call here is a vector-length product, which OpenBLAS
-        # threads only above about 1e4 entries, and there it ran no faster
-        # and gave other last bits; starting its helper threads made a cold
-        # numpy import about 70 ms slower on a 2-vCPU box.
+        # threads only above about 1e4 entries, and there it ran no faster;
+        # starting its helper threads made a cold numpy import about 70 ms
+        # slower on a 2-vCPU box.
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:

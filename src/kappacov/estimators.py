@@ -237,13 +237,14 @@ def estimate(sample: PairedSample, with_variance: bool = False) -> KappaEstimate
     )
 
 
-# Cauchy-Schwarz bounds the normalized coefficients by 1 exactly; allow
-# this much rounding slack before treating an excess as a real error.
+# Cauchy-Schwarz bounds the normalized coefficients by 1 exactly, and a
+# linear pair reaches 1 exactly; a value within this much rounding of 1,
+# or of the lower bound from below, reads as that bound.
 _RHO_ROUNDING = 1e-12
 
 
 def _clip_rho(value: float, lower: float) -> float:
-    if 1.0 < value <= 1.0 + _RHO_ROUNDING:
+    if abs(value - 1.0) <= _RHO_ROUNDING:
         return 1.0
     if lower - _RHO_ROUNDING <= value < lower:
         return lower
@@ -258,9 +259,9 @@ def _self_bundle(values: np.ndarray) -> UStatBundle:
     row_totals = _sorted_row_sums(values)
     centered = values - values.mean()
     n = values.size
-    pair_prod = 2.0 * n * (float(centered @ centered) - float(centered.sum()) ** 2 / n)
+    pair_prod = 2.0 * n * (float((centered * centered).sum()) - float(centered.sum()) ** 2 / n)
     total = float(row_totals.sum())
-    return _bundle_from_sums(n, total, total, pair_prod, float(row_totals @ row_totals))
+    return _bundle_from_sums(n, total, total, pair_prod, float((row_totals * row_totals).sum()))
 
 
 def rho_estimates(sample: PairedSample) -> RhoEstimates:

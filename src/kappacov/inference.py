@@ -24,9 +24,9 @@ one, where ``m`` is the largest count that passes the same float test,
 So a replicate's count stops sweeping once every requested estimator's
 count exceeds ``m`` (accept) or can no longer exceed it with the rows
 left (reject); it still draws the blocks it does not sweep, one at a
-time, so the generator moves on as after B draws.  Each swept row is
-computed in the same chunk as in the full sweep, so its statistics are
-the same bits, and no decision, hence no power report, can differ from
+time, so the generator moves on as after B draws.  A swept row's
+statistics depend on its permutation alone, so they are the full
+sweep's bits, and no decision, hence no power report, can differ from
 the full p-values'.  :func:`independence_test` sweeps all B rows for
 its p-value.
 
@@ -238,7 +238,7 @@ def _permutation_rejections(observed: UStatBundle, bundles, b: int, rng, alpha: 
     That holds exactly when at most ``most`` permuted statistics reach the
     observed one, by the same float test, so :func:`_exceedances` stops once
     each count is above ``most`` (accept) or cannot pass it in the rows left
-    (reject).  Its rows are those of the full count, bit for bit, so no
+    (reject).  A row's statistics depend on its permutation alone, so no
     decision can differ from the full p-value's.  Estimators not asked for
     read 0.
     """

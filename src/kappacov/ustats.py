@@ -32,7 +32,11 @@ and :func:`permutation_bundles` sweeps the rows of an array.  At every
 n the row sums ``a`` and ``b`` come from one sort per column,
 :func:`_sorted_row_sums`.  From ``_SORT_MIN_N`` observations on, one
 merge sort, :func:`_merge_levels`, gives the pair sums with no n^2
-table or pass; below, a gather from the two difference tables does.
+table or pass; below, the ``y`` differences of each permutation's gather
+against the one ``x`` difference table do.  Every sum in the sweep runs
+along one row with no BLAS call, so a row's bundle depends on its
+permutation alone, whatever rows share its block and whatever the BLAS
+thread count.
 The plug-in variance takes its row-level sums from
 :func:`_sorted_row_sums` and :func:`_pair_row_sums`.
 :func:`differences` is the one place a difference matrix is built.
@@ -43,7 +47,7 @@ and :func:`_in_units` scales a result back exactly or raises DomainError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,12 +78,11 @@ _SORT_MIN_N = 108
 # op (n = 500, B = 999) took about 10k minor page faults at 2**15 entries
 # per array, 550 at 2**14 and 0 at 2**13, at equal speed within noise.
 _SWEEP_ELEMENTS = 1 << 15
-# The sweep draws and sweeps its permutations in blocks of the whole
-# chunks that together hold at least this many rows (16 at n = 500, 18 at
-# n = 100), and a power study checks whether its decisions are settled
-# after each block.  The statistics of a block cost about 20 us, so
-# checking after every chunk of the gather (3 rows at n = 100) gave back
-# about a fifth of the time the early stop saves.
+# The sweep draws and sweeps its permutations in blocks of this many rows,
+# and a power study checks whether its decisions are settled after each
+# block.  The statistics of a block cost about 20 us, so checking after
+# every chunk of the gather (3 rows at n = 100) gave back about a fifth of
+# the time the early stop saves.
 _DECISION_ROWS = 16
 
 
@@ -250,9 +253,8 @@ def compute_ustats_bruteforce(sample: PairedSample) -> UStatBundle:
 
 
 def pairwise_tables(sample: PairedSample) -> tuple:
-    """The difference matrices ``(dx, dy)`` of both columns: the tables of
-    :func:`bundle_for_permutation` and of the sweep's gather below
-    ``_SORT_MIN_N`` observations.  Memory is 2 * n**2 floats."""
+    """The difference matrices ``(dx, dy)`` of both columns, the tables of the
+    oracle :func:`bundle_for_permutation`.  Memory is 2 * n**2 floats."""
     if sample.n < 3:
         raise SampleTooSmall(f"need at least 3 observations, got {sample.n}")
     return differences(sample.xs), differences(sample.ys)
@@ -276,13 +278,13 @@ def bundle_for_permutation(tables: tuple, perm: np.ndarray | None = None) -> USt
 
 
 def _gather_kernel(sample: PairedSample):
-    """The pair sums of a chunk of permutations by one flat gather of ``dy``."""
-    n = sample.n
-    dx, dy = (table.ravel() for table in pairwise_tables(sample))
+    """The pair sums of a chunk of permutations from the ``x`` difference
+    table and, per permutation, the ``y`` differences of its gathered ``y``."""
+    dx, ys = differences(sample.xs), sample.ys
 
     def pair_sums(perms: np.ndarray) -> np.ndarray:
-        flat = perms[:, :, None] * n + perms[:, None, :]
-        return dy.take(flat.reshape(len(perms), -1)) @ dx
+        w = ys[perms]
+        return np.einsum("rij,ij->ri", np.abs(w[:, :, None] - w[:, None, :]), dx).sum(axis=1)
 
     return pair_sums
 
@@ -338,19 +340,19 @@ def _sort_kernel(sample: PairedSample, b: np.ndarray):
 
     def pair_sums(perms: np.ndarray) -> np.ndarray:
         rows = len(perms)
-        perms = perms[:, order]
+        perms = np.ascontiguousarray(perms[:, order])
         # Row k holds w and the x it pairs with; the padding's x is 0.
         w = np.zeros((rows, width))
         w[:, :n] = y[perms]
         v = np.zeros((rows, width))
         v[:, :n] = x
-        earlier = (np.cumsum(w[:, :n], axis=1) - ramp * w[:, :n]) @ x
+        earlier = ((np.cumsum(w[:, :n], axis=1) - ramp * w[:, :n]) * x).sum(axis=1)
         below = np.zeros(rows)
         for half, w, (v,), left, count in _merge_levels(w, v):
             left_sum = np.cumsum((w * left).reshape(-1, 2 * half), axis=1).reshape(rows, width)
-            below += np.einsum("ij,ij->i", v * ~left, w * count - left_sum)
+            below += (v * ~left * (w * count - left_sum)).sum(axis=1)
         # Ordered pairs: twice sum_j x_j (2 L_j - B_j).
-        return 4.0 * earlier + 8.0 * below - 2.0 * (b[perms] @ x)
+        return 4.0 * earlier + 8.0 * below - 2.0 * (b[perms] * x).sum(axis=1)
 
     return pair_sums
 
@@ -417,23 +419,16 @@ def _chunk_rows(n: int) -> int:
     return max(1, _SWEEP_ELEMENTS // width)
 
 
-def _block_rows(n: int) -> int:
-    """Permutations per block of the sweep: the whole chunks that together
-    hold at least ``_DECISION_ROWS`` rows."""
-    step = _chunk_rows(n)
-    return step * -(-_DECISION_ROWS // step)
-
-
 def _drawn_blocks(n: int, b: int, rng: np.random.Generator):
     """The permutations of ``b`` successive ``rng.permutation(n)`` calls in
-    blocks of :func:`_block_rows` rows, each drawn only when asked for.
+    blocks of ``_DECISION_ROWS`` rows, each drawn only when asked for.
 
     Each block is one ``rng.permuted`` call on rows of ``arange(n)`` in one
     reused ``np.intp`` buffer, so the next block overwrites it.  That makes
     the same permutations as the ``permutation`` calls and, once every
     block is drawn, leaves ``rng`` where they would.
     """
-    rows = _block_rows(n)
+    rows = _DECISION_ROWS
     ramp, buffer = np.arange(n), np.empty((min(rows, b), n), dtype=np.intp)
     for first in range(0, b, rows):
         block = buffer[: b - first]
@@ -449,20 +444,13 @@ def _sweep(unit: PairedSample, ex: int = 0, ey: int = 0, rows: tuple | None = No
     Both come from one setup: the row sums ``a`` and ``b`` (``rows``, where
     the caller has them already), the pair-sum kernel and the chunk step.
     The sample's bundle is the identity swept alone as a 1-row block.  The
-    iterator sweeps a block only when it is asked for, so a caller can stop
-    between blocks.  The blocks are ``np.intp`` arrays of permutations, each
-    of whole chunks of :func:`_chunk_rows` rows but the last, as
-    :func:`_block_rows` makes them.  The chunks are the slices of each
-    block at multiples of :func:`_chunk_rows`, so they are those of one
-    whole sweep whatever the block size: the matrix-vector products go
-    through BLAS, which blocks rows, so a row's sums can change in the last
-    bit with the rows that share its chunk, and results repeat bit for bit
-    only while the chunks are composed alike.  With OpenBLAS 0.3 at n = 500, moving 40
-    permutations down by three rows changed ``u12`` in 3 of them and
-    sweeping each alone in 23, and the identity block differed from row 0
-    of a 200-row sweep in 111 of 120 samples, by at most 4.4e-16 in any
-    kappa: so a test compares its permuted statistics with the identity
-    block's, the ones it reports.
+    iterator sweeps a block of ``np.intp`` permutations only when it is
+    asked for, so a caller can stop between blocks, and it sweeps a block
+    in chunks of :func:`_chunk_rows` rows to bound its working arrays.
+    Every sum of a row is taken along that row alone, by no BLAS call, so
+    a row's bundle depends on its permutation alone: not on the rows that
+    share its block or chunk, nor on the BLAS thread count.  The identity
+    block is therefore the identity row of any sweep.
     """
     n = unit.n
     if n < 3:
@@ -477,7 +465,7 @@ def _sweep(unit: PairedSample, ex: int = 0, ey: int = 0, rows: tuple | None = No
         for start in range(0, len(block), step):
             chunk = block[start : start + step]
             pair_prod[start : start + step] = pair_sums(chunk)
-            cross[start : start + step] = b[chunk] @ a
+            cross[start : start + step] = (b[chunk] * a).sum(axis=1)
         return pair_prod, cross
 
     def bundles(blocks):
@@ -494,21 +482,12 @@ def permutation_bundles(sample: PairedSample, perms: np.ndarray) -> UStatBundle:
     ``range(n)``.  Returns one :class:`UStatBundle` in which the fields
     that a permutation moves, ``u12``, ``u3``, ``v12`` and ``v3``, are
     length-``B`` arrays, so the estimator formulas apply to it unchanged.
-    The sample's one sweep (:func:`_sweep`) takes ``perms`` slice by
-    slice, in the blocks and chunks of a test's drawn permutations, so
-    each row gets the same bits as there, and the bundles of the blocks
-    are joined; the cross sums are ``b[perm] @ a``.
+    ``perms`` is one block of the sample's one sweep (:func:`_sweep`), so
+    each row gets the same bits as in a test.
 
     Raises
     ------
     SampleTooSmall
         If ``sample.n < 3``.
     """
-    rows = _block_rows(sample.n)
-    # An empty perms is one empty block, which gives empty fields.
-    blocks = (
-        perms[first : first + rows].astype(np.intp, copy=False) for first in range(0, max(1, len(perms)), rows)
-    )
-    parts = list(_sweep(*_unit(sample))[1](blocks))
-    moved = ("u12", "u3", "v12", "v3")
-    return replace(parts[0], **{field: np.concatenate([getattr(part, field) for part in parts]) for field in moved})
+    return next(_sweep(*_unit(sample))[1]([np.ascontiguousarray(perms, dtype=np.intp)]))

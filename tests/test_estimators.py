@@ -357,7 +357,7 @@ def test_variance_and_rho_match_oracles(rng, ties, scale):
 
 def test_one_sweep_per_call(rng, monkeypatch):
     # No O(n^2) pass: every kappa comes from the sweep, which builds the
-    # gather's two tables below _SORT_MIN_N and no difference matrix from
+    # gather's one x table below _SORT_MIN_N and no difference matrix from
     # there on, and the plug-in variance builds none at any n.
     built = []
     original = ustats.differences
@@ -368,7 +368,7 @@ def test_one_sweep_per_call(rng, monkeypatch):
 
     monkeypatch.setattr(ustats, "differences", counting)
     sample = random_paired_sample(rng, 40)
-    for cut, tables in ((0, 0), (10**9, 2)):
+    for cut, tables in ((0, 0), (10**9, 1)):
         monkeypatch.setattr(ustats, "_SORT_MIN_N", cut)
         for call in (lambda: estimate(sample, with_variance=True), lambda: rho_estimates(sample)):
             built.clear()
@@ -409,6 +409,13 @@ def test_rho_is_one_for_strictly_monotone_pairs(rng):
     rho = rho_estimates(sample)
     assert rho.rho_hat == 1.0
     assert rho.rho_tilde == 1.0
+    # A linear pair reaches the bound exactly, so rounding on either side
+    # of 1 reads 1 at every size.
+    draws = np.random.default_rng(406)
+    for trial in range(120):
+        xs = draws.normal(size=int(draws.integers(5, 301)))
+        rho = rho_estimates(PairedSample(xs, 2.0 * xs + 3.0))
+        assert (rho.rho_hat, rho.rho_tilde) == (1.0, 1.0), (trial, xs.size, rho)
 
 
 def test_rho_ranges(rng):

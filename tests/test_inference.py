@@ -118,9 +118,9 @@ def test_permutation_draws_are_successive_permutation_calls(monkeypatch, n):
     # it, so a power study's common random numbers and every seeded p-value
     # stay as they were.  No block holds more rows than one block, so memory
     # does not grow with B.  Both hold for a test's full sweep and for a power
-    # study's, which stops early here and still draws the rest.  n = 3 is one
-    # block of the gather; n = 256 and 257 are blocks of 32 and 16 rows of the
-    # sort kernel.
+    # study's, which stops early here and still draws the rest.  n = 3 sweeps
+    # with the gather, in chunks of more rows than a block; n = 256 and 257
+    # with the sort kernel, in chunks of 32 and 16 rows.
     b, drawn = 99, []
     draw = inference._drawn_blocks
 
@@ -143,7 +143,7 @@ def test_permutation_draws_are_successive_permutation_calls(monkeypatch, n):
         decide(rng)
         # The power study's sweep stops early wherever there is a block to skip.
         assert (sum(rows) == b) if full else (sum(rows) < b or len(drawn) == 1)
-        assert max(len(block) for block in drawn) <= ustats._block_rows(n)
+        assert max(len(block) for block in drawn) <= ustats._DECISION_ROWS
         assert np.array_equal(np.concatenate(drawn), [twin.permutation(n) for _ in range(b)])
         assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -245,8 +245,8 @@ def _decision_samples(n):
         yield PairedSample(rng.integers(0, 3, n) + 1000.0, rng.integers(0, 3, n) + 1000.0)
 
 
-# Small chunks make both kernels stop between batches; the gather's default
-# ones (36 rows at n = 30) do too, where the sort kernel's hold all B rows.
+# Both kernels stop between blocks, in chunks of fewer rows than a block,
+# and the gather's default ones at n = 30, of more.
 @pytest.mark.parametrize("cut, elements", [(0, 1000), (10**9, 1000), (10**9, ustats._SWEEP_ELEMENTS)])
 def test_early_decisions_match_full_pvalues(monkeypatch, cut, elements):
     # A stopped sweep decides p <= alpha as the full sweep's p-value does,

@@ -7,7 +7,11 @@ against the rows it started from, and the with-replacement means against
 their exact combinatorial identities to the distinct-tuple ones.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -289,6 +293,82 @@ def test_permutation_sweep_fields(rng, monkeypatch, kernel):
         for field in FIELDS:
             value = np.broadcast_to(getattr(swept, field), len(perms))[k]
             assert rel_err(value, getattr(single, field)) <= 1e-13, (k, field)
+
+
+def _row_bits(bundle, count):
+    """The bits of every field of each of ``count`` swept rows, one row each."""
+    fields = [np.broadcast_to(np.asarray(getattr(bundle, field), dtype=float), count) for field in FIELDS]
+    return np.stack(fields, axis=1).view(np.uint64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_sweep_rows_are_the_same_in_any_composition(data):
+    # A row's bundle depends on its permutation alone: swept alone, in one
+    # block, in a block split mid-chunk or shifted down by a few rows, each
+    # kernel with one row per chunk, the default chunks, or three rows per
+    # chunk each wider than 8192 entries, past which a reduction over a
+    # whole chunk can split a row where its neighbours end.  The identity
+    # block is row 0.
+    kernel = data.draw(st.sampled_from(sorted(KERNELS)), label="kernel")
+    layout = data.draw(st.sampled_from(("one row", "default", "wide")), label="layout")
+    if layout == "wide":
+        n = 100 if kernel == "gather" else 8200
+        elements = 3 * (n * n if kernel == "gather" else 4 << (n - 1).bit_length())
+    else:
+        n = data.draw(st.sampled_from((3, 7, 20, 33, 107, 108, 150)), label="n")
+        elements = 1 if layout == "one row" else ustats._SWEEP_ELEMENTS
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    sample = random_paired_sample(rng, n, ties=data.draw(st.booleans(), label="ties"))
+    count = data.draw(st.integers(2, 12), label="rows")
+    perms = np.array([np.arange(n)] + [rng.permutation(n) for _ in range(count - 1)])
+    split = data.draw(st.integers(1, count - 1), label="split")
+    shift = data.draw(st.integers(1, min(3, count - 1)), label="shift")
+    with mock.patch.multiple(ustats, _SORT_MIN_N=KERNELS[kernel], _SWEEP_ELEMENTS=elements):
+        observed, bundles = ustats._sweep(*ustats._unit(sample))
+        whole = _row_bits(next(bundles([perms])), count)
+        alone = [_row_bits(part, 1) for part in bundles(perm[None] for perm in perms)]
+        halves = [_row_bits(part, len(block)) for block in (perms[:split], perms[split:]) for part in bundles([block])]
+        shifted = _row_bits(ustats.permutation_bundles(sample, perms[shift:]), count - shift)
+    assert np.array_equal(np.concatenate(alone), whole)
+    assert np.array_equal(np.concatenate(halves), whole)
+    assert np.array_equal(shifted, whole[shift:])
+    assert np.array_equal(_row_bits(observed, 1)[0], whole[0])
+
+
+_THREADED_SWEEP = (
+    "import json, sys\n"
+    "import numpy as np\n"
+    "from kappacov import FamilySpec, SeedSpec, rho_estimates, sample_family, ustats\n"
+    "n = int(sys.argv[1])\n"
+    "sample = sample_family(FamilySpec('normal', 0.5), n, SeedSpec(n))\n"
+    "perms = np.array([np.random.default_rng(k).permutation(n) for k in range(3)])\n"
+    "bundles = (ustats.compute_ustats(sample), ustats.permutation_bundles(sample, perms))\n"
+    "bits = [[float(v).hex() for v in np.atleast_1d(getattr(b, f))] for b in bundles for f in sys.argv[2:]]\n"
+    "rho = rho_estimates(sample)\n"
+    "print(json.dumps(bits + [rho.rho_hat.hex(), rho.rho_tilde.hex()]))\n"
+)
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for two BLAS threads")
+def test_sweep_bits_do_not_depend_on_blas_threads():
+    # From n = 11664 on, OpenBLAS splits a long vector product over its
+    # threads; neither the sweep nor rho's self-bundles make one, so the
+    # observed bundle, the permuted ones and rho keep their bits at one BLAS
+    # thread and at two.
+    import kappacov
+
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(kappacov.__file__))
+        child = subprocess.run(
+            [sys.executable, "-c", _THREADED_SWEEP, "12000", *FIELDS],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert child.returncode == 0, child.stderr
+        outputs.append(json.loads(child.stdout.splitlines()[-1]))
+    assert outputs[0] == outputs[1]
 
 
 def test_permutation_sweep_needs_three_observations():

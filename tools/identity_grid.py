@@ -15,8 +15,7 @@ p-values and statistics for each estimator, and ``permutation_bundles``
 on 5 fixed permutations and on none.  Permutation tests with
 B = 99 at n = 4096 and n = 4097 add sort-kernel chunks of 2 rows, the
 last one partial, and of 1 row.  Then come permutation and asymptotic
-``PowerReport``s at n = 30 (the gather) and n = 120 (the sort kernel,
-whose sweep rows' last bits depend on the rows in their chunk), each
+``PowerReport``s at n = 30 (the gather) and n = 120 (the sort kernel), each
 serial and with ``threads=2``, and permutation ones that request
 ``("tilde",)`` or ``("star", "hat")`` at alpha 0.01 and 0.2.  Every float
 is written by ``float.hex``, and an error by its class name and message,
