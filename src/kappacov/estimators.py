@@ -251,12 +251,11 @@ def _clip_rho(value: float, lower: float) -> float:
     return value
 
 
-def _self_bundle(values: np.ndarray) -> UStatBundle:
+def _self_bundle(values: np.ndarray, row_totals: np.ndarray) -> UStatBundle:
     # Bundle of the pair (values, values).  Its pair product
     # sum_ij (v_i - v_j)^2 is 2n * sum_i (v_i - mean)^2, less the
     # n * (error)^2 a rounded mean adds (6e-8 near 1e9), so the sorted
-    # row sums of the one difference matrix are all it needs.
-    row_totals = _sorted_row_sums(values)
+    # row sums of the one difference matrix, row_totals, are all it needs.
     centered = values - values.mean()
     n = values.size
     pair_prod = 2.0 * n * (float((centered * centered).sum()) - float(centered.sum()) ** 2 / n)
@@ -273,8 +272,9 @@ def rho_estimates(sample: PairedSample) -> RhoEstimates:
         If either marginal is constant, making a self-coefficient zero.
     """
     unit = _unit(sample)[0]
-    both = _sweep(unit)[0]
-    self_x, self_y = _self_bundle(unit.xs), _self_bundle(unit.ys)
+    a, b = _sorted_row_sums(unit.xs), _sorted_row_sums(unit.ys)
+    both = _sweep(unit, rows=(a, b))[0]
+    self_x, self_y = _self_bundle(unit.xs, a), _self_bundle(unit.ys, b)
 
     hat_x, hat_y = kappa_hat(self_x), kappa_hat(self_y)
     tilde_x, tilde_y = kappa_tilde(self_x), kappa_tilde(self_y)

@@ -17,18 +17,16 @@ tail the sample's one null law (as in
 ignores the permutation count ``b_or_r``; a power study asks it only
 whether the tail is at most alpha.
 
-A permutation power study needs only whether ``p <= alpha`` too.  That
-holds exactly when at most ``m`` permuted statistics reach the observed
-one, where ``m`` is the largest count that passes the same float test,
-``(1 + m) / (B + 1) <= alpha`` (Besag & Clifford 1991, Biometrika 78:301).
-So a replicate's count stops sweeping once every requested estimator's
-count exceeds ``m`` (accept) or can no longer exceed it with the rows
-left (reject); it still draws the blocks it does not sweep, one at a
-time, so the generator moves on as after B draws.  A swept row's
-statistics depend on its permutation alone, so they are the full
-sweep's bits, and no decision, hence no power report, can differ from
-the full p-values'.  :func:`independence_test` sweeps all B rows for
-its p-value.
+A permutation power study needs only whether ``p <= alpha`` too, and
+the same loop answers it (Besag & Clifford 1991, Biometrika 78:301): it
+stops sweeping once no requested estimator's ``(1 + count) / (B + 1) <=
+alpha`` can change with the rows left, since the count only grows, but
+still draws every block, so the generator moves on as after B draws.
+The replicate reads that float test on the count where it stopped.  A
+swept row's statistics depend on its permutation alone, so they are the
+full sweep's bits, and no decision, hence no power report, can differ
+from the full p-values'.  :func:`independence_test` sweeps all B rows
+for its p-value.
 
 All three statistics inflate under dependence, so every test is
 one-sided in the upper tail.  A power study's replicate is a function
@@ -213,42 +211,33 @@ class TimingReport:
         return asdict(self)
 
 
-def _exceedances(observed: UStatBundle, bundles, b: int, rng: np.random.Generator, settled=None) -> np.ndarray:
+def _exceedances(
+    observed: UStatBundle, bundle, b: int, rng: np.random.Generator, level=None, estimators=ESTIMATOR_NAMES
+) -> np.ndarray:
     """Per statistic, how many of ``b`` permuted statistics reach the observed one,
     from a unit sample's :func:`~kappacov.ustats._sweep`, with each block drawn
-    just before it is swept; the count stops once ``settled(exceed, left)``
-    holds, but the blocks left are still drawn, so ``rng`` ends as after B draws."""
+    just before it is swept.
+
+    Given a ``level``, a block is swept only while some of ``estimators``
+    has a ``p <= level`` still open: ``(1 + count) / (b + 1) <= level``
+    holds now but would fail were all ``left`` rows not yet swept to reach
+    the observed one.  The counts may then stop short, but each requested
+    one passes that test exactly when its full count would.  Every block
+    is drawn, so ``rng`` ends as after B draws.
+    """
     # Per statistic, the least permuted value that reaches the observed one.
     floor = np.array(kappa_trio(observed))[:, None] - _TIE_TOLERANCE * statistic_scale(observed)
-    blocks = _drawn_blocks(observed.n, b, rng)
-    swept = bundles(blocks)
+    asked = [ESTIMATOR_NAMES.index(name) for name in estimators]
     exceed, left = np.zeros(len(ESTIMATOR_NAMES), dtype=np.int64), b
-    while left and not (settled and settled(exceed, left)):
-        trio = np.array(kappa_trio(next(swept)))
-        exceed += np.count_nonzero(trio >= floor, axis=1)
-        left -= trio.shape[1]
-    for _ in blocks:
-        pass
+    for block in _drawn_blocks(observed.n, b, rng):
+        counts = exceed.tolist()
+        if level is None or any(
+            (1.0 + counts[i]) / (b + 1.0) <= level < (1.0 + counts[i] + left) / (b + 1.0) for i in asked
+        ):
+            trio = np.array(kappa_trio(bundle(block)))
+            exceed += np.count_nonzero(trio >= floor, axis=1)
+        left -= len(block)
     return exceed
-
-
-def _permutation_rejections(observed: UStatBundle, bundles, b: int, rng, alpha: float, estimators) -> np.ndarray:
-    """Whether each of ``estimators`` has a permutation p-value at most ``alpha``.
-
-    That holds exactly when at most ``most`` permuted statistics reach the
-    observed one, by the same float test, so :func:`_exceedances` stops once
-    each count is above ``most`` (accept) or cannot pass it in the rows left
-    (reject).  A row's statistics depend on its permutation alone, so no
-    decision can differ from the full p-value's.  Estimators not asked for
-    read 0.
-    """
-    most = np.count_nonzero((1.0 + np.arange(b + 1)) / (b + 1.0) <= alpha) - 1
-    asked = np.isin(ESTIMATOR_NAMES, estimators)
-
-    def settled(exceed, left):
-        return np.all(((exceed > most) | (exceed + left <= most))[asked])
-
-    return asked & (_exceedances(observed, bundles, b, rng, settled) <= most)
 
 
 def _asymptotic_null(unit: PairedSample, observed: UStatBundle, k: int, estimators) -> tuple:
@@ -287,12 +276,12 @@ def independence_test(
     b_or_r = _check_b_or_r(b_or_r)
     index = ESTIMATOR_NAMES.index(estimator)
     unit, ex, ey = _unit(sample)
-    observed, bundles = _sweep(unit)
+    observed, bundle = _sweep(unit)
     if method == "permutation":
         trio = kappa_trio(observed)
-        p_value = (1.0 + _exceedances(observed, bundles, b_or_r, seed.generator())[index]) / (b_or_r + 1.0)
+        p_value = (1.0 + _exceedances(observed, bundle, b_or_r, seed.generator())[index]) / (b_or_r + 1.0)
     else:
-        del bundles  # the eigensolves and the tail, where this test's memory peaks, need no sweep
+        del bundle  # the eigensolves and the tail, where this test's memory peaks, need no sweep
         trio, law, thresholds = _asymptotic_null(unit, observed, spectrum_k, (estimator,))
         del unit  # and the tail no copy of the sample
         p_value = law.tail(thresholds[estimator])
@@ -313,11 +302,12 @@ def _power_replicate(stream, seed, grid, n, method, b_or_r, alpha, spectrum_k, e
     rejected = np.zeros((len(grid), len(ESTIMATOR_NAMES)), dtype=np.int64)
     for ci, spec in enumerate(grid):
         sample = _unit(PairedSample(*_draw(spec, n, rng)))[0]
-        observed, bundles = _sweep(sample)
+        observed, bundle = _sweep(sample)
         if method == "permutation":
-            rejected[ci] = _permutation_rejections(observed, bundles, b_or_r, rng, alpha, estimators)
+            exceed = _exceedances(observed, bundle, b_or_r, rng, alpha, estimators)
+            rejected[ci] = np.isin(ESTIMATOR_NAMES, estimators) & ((1.0 + exceed) / (b_or_r + 1.0) <= alpha)
         else:
-            del bundles  # the null law needs no sweep, as in independence_test
+            del bundle  # the null law needs no sweep, as in independence_test
             _, law, thresholds = _asymptotic_null(sample, observed, spectrum_k, estimators)
             for name, q in thresholds.items():
                 rejected[ci, ESTIMATOR_NAMES.index(name)] = law.tail(q, level=alpha) <= alpha
@@ -347,12 +337,12 @@ def power_study(
     With the permutation method a replicate draws and sweeps its
     ``b_or_r`` permutations block by block, and stops sweeping once each
     requested estimator's ``p <= alpha`` is settled by its count of
-    permuted statistics that reach the observed one; it still draws the
-    blocks left, one at a time, so the generator moves on to the next cell
-    as it would for full p-values.  Every swept row is computed exactly as
-    in the full sweep, so the report is the same, bit for bit, as from
-    full p-values, while a null cell at B = 199 and alpha = 0.05 sweeps
-    about a quarter of the permutations.
+    permuted statistics that reach the observed one; it still draws every
+    block, so the generator moves on to the next cell as it would for full
+    p-values.  Every swept row is computed exactly as in the full sweep, so
+    the report is the same, bit for bit, as from full p-values, while a
+    null cell at B = 199 and alpha = 0.05 sweeps about a quarter of the
+    permutations.
     With the asymptotic method each cell's sample gives one null law,
     which every estimator asks once for its tail at level ``alpha``: a
     Chernoff bound below ``alpha`` settles the rejection without Imhof's

@@ -24,11 +24,12 @@ pair sum of ``|dx| * |dy|`` and the cross sum ``a @ b``.  Permuting
 set of permutations of ``y`` alike.  :func:`_sweep` sets up a sample's
 row sums and pair-sum kernel once, sweeps the identity alone as a 1-row
 block for the sample's bundle (:func:`compute_ustats`), and hands back a
-function that sweeps blocks of permutations, one bundle per block, each
-only when it is asked for, so that a caller can stop early.
-:func:`_drawn_blocks` draws each block from a generator just before it
-is swept, so a test's memory does not grow with its permutation count,
-and :func:`permutation_bundles` sweeps the rows of an array.  At every
+function that maps one block of permutations to its bundle, so that a
+caller sweeps the blocks it needs and no more.  :func:`_drawn_blocks`
+draws the blocks from a generator one at a time, each no larger than the
+sweep's working set, so a test's memory does not grow with its
+permutation count, and :func:`permutation_bundles` sweeps the rows of an
+array as one block.  At every
 n the row sums ``a`` and ``b`` come from one sort per column,
 :func:`_sorted_row_sums`.  From ``_SORT_MIN_N`` observations on, one
 merge sort, :func:`_merge_levels`, gives the pair sums with no n^2
@@ -78,11 +79,13 @@ _SORT_MIN_N = 108
 # op (n = 500, B = 999) took about 10k minor page faults at 2**15 entries
 # per array, 550 at 2**14 and 0 at 2**13, at equal speed within noise.
 _SWEEP_ELEMENTS = 1 << 15
-# The sweep draws and sweeps its permutations in blocks of this many rows,
-# and a power study checks whether its decisions are settled after each
-# block.  The statistics of a block cost about 20 us, so checking after
-# every chunk of the gather (3 rows at n = 100) gave back about a fifth of
-# the time the early stop saves.
+# A test draws and sweeps its permutations in blocks of at most this many
+# rows, and a power study checks whether its decisions are settled after
+# each block.  The statistics of a block cost about 20 us, so checking
+# after every chunk of the gather (3 rows at n = 100) gave back about a
+# fifth of the time the early stop saves.  From n = 2049 on a block holds
+# fewer rows, _SWEEP_ELEMENTS // n but at least one, so that at n = 10**6
+# it is one row of 8 MB, not 16 rows of 128 MB.
 _DECISION_ROWS = 16
 
 
@@ -421,14 +424,15 @@ def _chunk_rows(n: int) -> int:
 
 def _drawn_blocks(n: int, b: int, rng: np.random.Generator):
     """The permutations of ``b`` successive ``rng.permutation(n)`` calls in
-    blocks of ``_DECISION_ROWS`` rows, each drawn only when asked for.
+    blocks of ``_DECISION_ROWS`` rows, or of ``_SWEEP_ELEMENTS // n`` where
+    that is fewer but at least one, each drawn only when asked for.
 
     Each block is one ``rng.permuted`` call on rows of ``arange(n)`` in one
     reused ``np.intp`` buffer, so the next block overwrites it.  That makes
     the same permutations as the ``permutation`` calls and, once every
     block is drawn, leaves ``rng`` where they would.
     """
-    rows = _DECISION_ROWS
+    rows = max(1, min(_DECISION_ROWS, _SWEEP_ELEMENTS // n))
     ramp, buffer = np.arange(n), np.empty((min(rows, b), n), dtype=np.intp)
     for first in range(0, b, rows):
         block = buffer[: b - first]
@@ -438,15 +442,14 @@ def _drawn_blocks(n: int, b: int, rng: np.random.Generator):
 
 def _sweep(unit: PairedSample, ex: int = 0, ey: int = 0, rows: tuple | None = None):
     """The bundle of ``unit``, a :func:`_unit` sample with exponents ``ex`` and
-    ``ey``, and a function that maps an iterable of permutation blocks to an
-    iterator of one bundle of :func:`permutation_bundles`' kind per block.
+    ``ey``, and ``bundle(block)``, which maps one ``np.intp`` block of
+    permutations to its bundle of :func:`permutation_bundles`' kind.
 
     Both come from one setup: the row sums ``a`` and ``b`` (``rows``, where
     the caller has them already), the pair-sum kernel and the chunk step.
-    The sample's bundle is the identity swept alone as a 1-row block.  The
-    iterator sweeps a block of ``np.intp`` permutations only when it is
-    asked for, so a caller can stop between blocks, and it sweeps a block
-    in chunks of :func:`_chunk_rows` rows to bound its working arrays.
+    The sample's bundle is the identity swept alone as a 1-row block.
+    ``bundle`` sweeps a block in chunks of :func:`_chunk_rows` rows to
+    bound its working arrays.
     Every sum of a row is taken along that row alone, by no BLAS call, so
     a row's bundle depends on its permutation alone: not on the rows that
     share its block or chunk, nor on the BLAS thread count.  The identity
@@ -468,11 +471,11 @@ def _sweep(unit: PairedSample, ex: int = 0, ey: int = 0, rows: tuple | None = No
             cross[start : start + step] = (b[chunk] * a).sum(axis=1)
         return pair_prod, cross
 
-    def bundles(blocks):
-        return (_bundle_from_sums(n, sum_x, sum_y, *swept(block), ex, ey) for block in blocks)
+    def bundle(block: np.ndarray) -> UStatBundle:
+        return _bundle_from_sums(n, sum_x, sum_y, *swept(block), ex, ey)
 
     pair_prod, cross = swept(np.arange(n)[None, :])
-    return _bundle_from_sums(n, sum_x, sum_y, float(pair_prod[0]), float(cross[0]), ex, ey), bundles
+    return _bundle_from_sums(n, sum_x, sum_y, float(pair_prod[0]), float(cross[0]), ex, ey), bundle
 
 
 def permutation_bundles(sample: PairedSample, perms: np.ndarray) -> UStatBundle:
@@ -490,4 +493,4 @@ def permutation_bundles(sample: PairedSample, perms: np.ndarray) -> UStatBundle:
     SampleTooSmall
         If ``sample.n < 3``.
     """
-    return next(_sweep(*_unit(sample))[1]([np.ascontiguousarray(perms, dtype=np.intp)]))
+    return _sweep(*_unit(sample))[1](np.ascontiguousarray(perms, dtype=np.intp))

@@ -37,7 +37,7 @@ from kappacov.estimators import (
     statistic_scale,
 )
 from kappacov.ustats import compute_ustats_bruteforce
-from kappacov import inference, ustats
+from kappacov import estimators, inference, ustats
 from conftest import random_paired_sample, random_spec, rel_err
 
 HAND_SAMPLE = PairedSample(np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0]))
@@ -358,22 +358,33 @@ def test_variance_and_rho_match_oracles(rng, ties, scale):
 def test_one_sweep_per_call(rng, monkeypatch):
     # No O(n^2) pass: every kappa comes from the sweep, which builds the
     # gather's one x table below _SORT_MIN_N and no difference matrix from
-    # there on, and the plug-in variance builds none at any n.
-    built = []
-    original = ustats.differences
+    # there on, and the plug-in variance builds none at any n.  Each column
+    # is sorted for its row sums once, which the sweep, the plug-in variance
+    # and rho's self-coefficients share; the variance's two weighted row
+    # sums sort once more each.
+    built, sorted_sums = [], []
+    original, row_sums = ustats.differences, ustats._sorted_row_sums
 
     def counting(values):
         built.append(values.size)
         return original(values)
 
+    def counting_sums(values, weights=None):
+        sorted_sums.append(values.size)
+        return row_sums(values, weights)
+
     monkeypatch.setattr(ustats, "differences", counting)
+    for module in (ustats, estimators):
+        monkeypatch.setattr(module, "_sorted_row_sums", counting_sums)
     sample = random_paired_sample(rng, 40)
     for cut, tables in ((0, 0), (10**9, 1)):
         monkeypatch.setattr(ustats, "_SORT_MIN_N", cut)
-        for call in (lambda: estimate(sample, with_variance=True), lambda: rho_estimates(sample)):
+        for call, sorts in ((lambda: estimate(sample, with_variance=True), 4), (lambda: rho_estimates(sample), 2)):
             built.clear()
+            sorted_sums.clear()
             call()
             assert built == [40] * tables, cut
+            assert sorted_sums == [40] * sorts, cut
 
 
 def test_large_sample_statistics_stay_fast_and_small():

@@ -106,21 +106,29 @@ def test_permutation_pvalues_count_ties_exactly(monkeypatch):
         expected = (1.0 + (exact[1:] >= exact[0]).sum(axis=0)) / (b + 1.0)
         for cut in (0, 10**9):
             monkeypatch.setattr(ustats, "_SORT_MIN_N", cut)
-            observed, bundles = ustats._sweep(*ustats._unit(sample))
-            got = (1.0 + inference._exceedances(observed, bundles, b, np.random.default_rng(trial))) / (b + 1.0)
+            observed, bundle = ustats._sweep(*ustats._unit(sample))
+            got = (1.0 + inference._exceedances(observed, bundle, b, np.random.default_rng(trial))) / (b + 1.0)
             assert np.array_equal(got, expected.astype(float)), (trial, cut)
 
 
-@pytest.mark.parametrize("n", [3, 256, 257])
-def test_permutation_draws_are_successive_permutation_calls(monkeypatch, n):
+@pytest.mark.parametrize(
+    "n, elements",
+    [pytest.param(n, ustats._SWEEP_ELEMENTS, id=str(n)) for n in (3, 256, 257)]
+    + [(n, elements) for n in (3, 256, 257) for elements in (1000, 1)],
+)
+def test_permutation_draws_are_successive_permutation_calls(monkeypatch, n, elements):
     # The sweep's B draws, streamed block by block, are those of B
     # rng.permutation(n) calls, and the generator ends where those calls leave
     # it, so a power study's common random numbers and every seeded p-value
-    # stay as they were.  No block holds more rows than one block, so memory
-    # does not grow with B.  Both hold for a test's full sweep and for a power
-    # study's, which stops early here and still draws the rest.  n = 3 sweeps
-    # with the gather, in chunks of more rows than a block; n = 256 and 257
-    # with the sort kernel, in chunks of 32 and 16 rows.
+    # stay as they were.  No block holds more than _DECISION_ROWS rows, nor
+    # more than _SWEEP_ELEMENTS entries unless it is one row, so memory grows
+    # neither with B nor past the sweep's working set.  Both hold for a test's
+    # full sweep and for a power study's, which stops early here and still
+    # draws the rest.  By default n = 3 sweeps with the gather, in chunks of
+    # more rows than a block, and n = 256 and 257 with the sort kernel, in
+    # chunks of 32 and 16 rows; a smaller working set makes blocks of 3 rows
+    # at n = 256 and 257, and of one row at every n.
+    monkeypatch.setattr(ustats, "_SWEEP_ELEMENTS", elements)
     b, drawn = 99, []
     draw = inference._drawn_blocks
 
@@ -131,11 +139,11 @@ def test_permutation_draws_are_successive_permutation_calls(monkeypatch, n):
 
     monkeypatch.setattr(inference, "_drawn_blocks", capturing)
     rows = _counting_rows(monkeypatch)
-    observed, bundles = ustats._sweep(ustats._unit(sample_family(NULL_SPEC, n, SeedSpec(n)))[0])
+    observed, bundle = ustats._sweep(ustats._unit(sample_family(NULL_SPEC, n, SeedSpec(n)))[0])
     names = inference.ESTIMATOR_NAMES
     for full, decide in (
-        (True, lambda rng: inference._exceedances(observed, bundles, b, rng)),
-        (False, lambda rng: inference._permutation_rejections(observed, bundles, b, rng, 0.05, names)),
+        (True, lambda rng: inference._exceedances(observed, bundle, b, rng)),
+        (False, lambda rng: inference._exceedances(observed, bundle, b, rng, 0.05, names)),
     ):
         drawn.clear()
         rows.clear()
@@ -143,7 +151,7 @@ def test_permutation_draws_are_successive_permutation_calls(monkeypatch, n):
         decide(rng)
         # The power study's sweep stops early wherever there is a block to skip.
         assert (sum(rows) == b) if full else (sum(rows) < b or len(drawn) == 1)
-        assert max(len(block) for block in drawn) <= ustats._DECISION_ROWS
+        assert max(len(block) for block in drawn) == max(1, min(ustats._DECISION_ROWS, elements // n))
         assert np.array_equal(np.concatenate(drawn), [twin.permutation(n) for _ in range(b)])
         assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -196,9 +204,9 @@ def test_asymptotic_test_frees_its_sweep_before_its_null_law(monkeypatch):
     sweep = inference._sweep
 
     def keeping(unit):
-        observed, bundles = sweep(unit)
-        swept.append(weakref.ref(bundles))
-        return observed, bundles
+        observed, bundle = sweep(unit)
+        swept.append(weakref.ref(bundle))
+        return observed, bundle
 
     def checking(func):
         def call(*args, **kwargs):
@@ -258,9 +266,9 @@ def test_early_decisions_match_full_pvalues(monkeypatch, cut, elements):
     b, names = 199, inference.ESTIMATOR_NAMES
     rows, stopped = _counting_rows(monkeypatch), 0
     for sample in _decision_samples(30):
-        observed, bundles = ustats._sweep(ustats._unit(sample)[0])
+        observed, bundle = ustats._sweep(ustats._unit(sample)[0])
         full_rng, rng = np.random.default_rng(7), np.random.default_rng(7)
-        pvalues = (1.0 + inference._exceedances(observed, bundles, b, full_rng)) / (b + 1.0)
+        pvalues = (1.0 + inference._exceedances(observed, bundle, b, full_rng)) / (b + 1.0)
         exceed = np.rint(pvalues * (b + 1)).astype(int) - 1
         for k in range(len(names)):
             for most in {exceed[k], exceed[k] - 1} - {-1}:
@@ -269,7 +277,8 @@ def test_early_decisions_match_full_pvalues(monkeypatch, cut, elements):
                     asked = np.isin(names, estimators)
                     rows.clear()
                     rng = np.random.default_rng(7)
-                    got = inference._permutation_rejections(observed, bundles, b, rng, alpha, estimators)
+                    counts = inference._exceedances(observed, bundle, b, rng, alpha, estimators)
+                    got = asked & ((1 + counts) / (b + 1) <= alpha)
                     assert np.array_equal(got, asked & (pvalues <= alpha)), (most, estimators)
                     assert rng.bit_generator.state == full_rng.bit_generator.state
                     stopped += sum(rows) < b
@@ -284,11 +293,11 @@ def test_settled_alphas_sweep_nothing(monkeypatch, cut):
     b, names = 199, inference.ESTIMATOR_NAMES
     rows = _counting_rows(monkeypatch)
     for sample in _decision_samples(30):
-        observed, bundles = ustats._sweep(ustats._unit(sample)[0])
+        observed, bundle = ustats._sweep(ustats._unit(sample)[0])
         rows.clear()
         for alpha, expected in ((0.999 / (b + 1), False), (1.0, True)):
             rng, twin = np.random.default_rng(3), np.random.default_rng(3)
-            got = inference._permutation_rejections(observed, bundles, b, rng, alpha, names)
+            got = (1 + inference._exceedances(observed, bundle, b, rng, alpha, names)) / (b + 1) <= alpha
             assert np.array_equal(got, np.full(len(names), expected)), alpha
             [twin.permutation(30) for _ in range(b)]
             assert rng.bit_generator.state == twin.bit_generator.state

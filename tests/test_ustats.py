@@ -325,10 +325,10 @@ def test_sweep_rows_are_the_same_in_any_composition(data):
     split = data.draw(st.integers(1, count - 1), label="split")
     shift = data.draw(st.integers(1, min(3, count - 1)), label="shift")
     with mock.patch.multiple(ustats, _SORT_MIN_N=KERNELS[kernel], _SWEEP_ELEMENTS=elements):
-        observed, bundles = ustats._sweep(*ustats._unit(sample))
-        whole = _row_bits(next(bundles([perms])), count)
-        alone = [_row_bits(part, 1) for part in bundles(perm[None] for perm in perms)]
-        halves = [_row_bits(part, len(block)) for block in (perms[:split], perms[split:]) for part in bundles([block])]
+        observed, bundle = ustats._sweep(*ustats._unit(sample))
+        whole = _row_bits(bundle(perms), count)
+        alone = [_row_bits(bundle(perm[None]), 1) for perm in perms]
+        halves = [_row_bits(bundle(block), len(block)) for block in (perms[:split], perms[split:])]
         shifted = _row_bits(ustats.permutation_bundles(sample, perms[shift:]), count - shift)
     assert np.array_equal(np.concatenate(alone), whole)
     assert np.array_equal(np.concatenate(halves), whole)

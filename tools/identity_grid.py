@@ -14,10 +14,11 @@ bundle, the three estimates with ``delta1_hat``, rho, both tests'
 p-values and statistics for each estimator, and ``permutation_bundles``
 on 5 fixed permutations and on none.  Permutation tests with
 B = 99 at n = 4096 and n = 4097 add sort-kernel chunks of 2 rows, the
-last one partial, and of 1 row.  Then come permutation and asymptotic
-``PowerReport``s at n = 30 (the gather) and n = 120 (the sort kernel), each
-serial and with ``threads=2``, and permutation ones that request
-``("tilde",)`` or ``("star", "hat")`` at alpha 0.01 and 0.2.  Every float
+last one partial, and of 1 row, in drawn blocks of 8 and of 7 rows.  Then
+come permutation and asymptotic ``PowerReport``s at n = 30 (the gather)
+and n = 120 (the sort kernel), each serial and with ``threads=2``, for
+all three estimators at alpha 0.05 and for ``("tilde",)`` and
+``("star", "hat")`` at alpha 0.01 and 0.2.  Every float
 is written by ``float.hex``, and an error by its class name and message,
 so any change in any bit shows.
 
@@ -112,19 +113,20 @@ def grid(kc) -> dict:
                         seed=kc.SeedSpec(11), threads=threads,
                     )
                 )
-        # A permutation replicate stops sweeping once its requested
-        # estimators' decisions are settled, which depends on them and on
-        # alpha's threshold count.
-        for estimators in (("tilde",), ("star", "hat")):
-            for alpha in (0.01, 0.2):
-                for threads in (1, 2):
-                    key = f"power permutation n={n} {'+'.join(estimators)} alpha={alpha} threads={threads}"
-                    out[key] = _outcome(
-                        lambda: kc.power_study(
-                            cells, n=n, replicates=100, alpha=alpha, b_or_r=99,
-                            seed=kc.SeedSpec(11), estimators=estimators, threads=threads,
+        # A replicate settles each requested estimator's p <= alpha: the
+        # permutation method stops sweeping, and the asymptotic one bounds
+        # the tail, once that is decided.
+        for method in ("permutation", "asymptotic_null"):
+            for estimators in (("tilde",), ("star", "hat")):
+                for alpha in (0.01, 0.2):
+                    for threads in (1, 2):
+                        key = f"power {method} n={n} {'+'.join(estimators)} alpha={alpha} threads={threads}"
+                        out[key] = _outcome(
+                            lambda: kc.power_study(
+                                cells, n=n, replicates=100, alpha=alpha, method=method, b_or_r=99,
+                                seed=kc.SeedSpec(11), estimators=estimators, threads=threads,
+                            )
                         )
-                    )
     return out
 
 
